@@ -23,39 +23,20 @@
 //	/debug/pprof/      runtime profiles
 //
 // Every POST endpoint above (except /v1/sweep) runs under an always-on
-// request trace: the span tree — cache, search, improve, repair phases
-// with search-internal counters — lands in a bounded in-memory flight
-// recorder served by /debug/traces (DESIGN.md §15).
+// request trace: the span tree — resolve, cache, search, improve, repair
+// phases with search-internal counters — lands in a bounded in-memory
+// flight recorder served by /debug/traces (DESIGN.md §15).
 //
-// A generator-form request and its response:
+// The four workload endpoints share one request shape: the instance —
+// the paper generator's n, seed, r (duty-cycle rate), wake_seed,
+// channels (K) and sinr_alpha/sinr_beta/sinr_noise, or an inline
+// {"instance": <EncodeInstance JSON>} — plus scheduler, budget and
+// no_cache, with each workload's own fields on top:
 //
 //	curl -s localhost:8080/v1/plan -d '{"n":150,"seed":1,"r":10,"scheduler":"gopt"}'
 //	{"digest":"…","cache_hit":false,"result":{"pa":64,…},…}
 //
-// Every endpoint accepts an optional "channels" parameter selecting the
-// K-orthogonal-channel system (K > 1); plans then assign each advance a
-// (slot, channel) pair and cache entries are keyed per K:
-//
-//	curl -s localhost:8080/v1/plan -d '{"n":300,"seed":1,"r":50,"channels":4}'
-//
-// Reliability validation of the same plan at 5% frame loss:
-//
-//	curl -s localhost:8080/v1/validate \
-//	  -d '{"n":150,"seed":1,"loss_rate":0.05,"trials":1000,"target":0.99}'
-//
-// Incremental re-planning after two nodes fail:
-//
-//	curl -s localhost:8080/v1/replan \
-//	  -d '{"n":150,"seed":1,"delta":{"version":1,"events":[
-//	        {"kind":"fail","node":17},{"kind":"fail","node":4}]}}'
-//
-// A convergecast (aggregation) schedule for the same deployment — every
-// node's reading routed to the sink with payloads merged at parents:
-//
-//	curl -s localhost:8080/v1/aggregate -d '{"n":150,"seed":1,"r":10,"channels":4}'
-//	{"digest":"…","scheduler":"agg-spt","latency_slots":93,…}
-//
-// Ship an exact instance instead with {"instance": <EncodeInstance JSON>}.
+// README.md walks through every workload's request and response.
 //
 // Failures on every /v1/* endpoint share one wire envelope with a stable
 // machine-readable code:
@@ -187,33 +168,35 @@ func main() {
 // family on /metrics).
 type serveObs struct {
 	rec *mlbs.TraceRecorder
-	lat map[string]*mlbs.LatencyHistogram
+	// endpoints are the traced POST endpoints, in registration order —
+	// the order /metrics emits their latency series.
+	endpoints []tracedEndpoint
 }
 
-// tracedEndpoints are the POST endpoints that run under a request trace,
-// in the order /metrics emits their latency series.
-var tracedEndpoints = []string{"/v1/plan", "/v1/aggregate", "/v1/validate", "/v1/replan"}
+type tracedEndpoint struct {
+	path string
+	lat  *mlbs.LatencyHistogram
+}
 
 func newServeObs(recentN, slowestN int) *serveObs {
-	o := &serveObs{
-		rec: mlbs.NewTraceRecorder(recentN, slowestN),
-		lat: make(map[string]*mlbs.LatencyHistogram, len(tracedEndpoints)),
-	}
-	for _, ep := range tracedEndpoints {
-		o.lat[ep] = mlbs.NewLatencyHistogram(nil)
-	}
-	return o
+	return &serveObs{rec: mlbs.NewTraceRecorder(recentN, slowestN)}
 }
 
-// traced wraps one handler with per-request span tracing: a fresh trace
-// rides the request context into the service (which annotates its cache,
-// search, improve and repair phases), and the finished snapshot lands in
-// the flight recorder plus the endpoint's latency histogram. The handler
-// returns the request's digest (empty if it never got that far) and the
-// terminal error, both recorded on the trace.
-func (o *serveObs) traced(endpoint string, h func(w http.ResponseWriter, r *http.Request) (string, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tr := mlbs.NewTrace(endpoint)
+// tracedHandler serves one workload endpoint: it writes the HTTP response
+// itself and returns the request's digest (empty if it never got that
+// far) and terminal error for the trace.
+type tracedHandler func(w http.ResponseWriter, r *http.Request) (string, error)
+
+// handle registers h as POST path under per-request span tracing: a
+// fresh trace rides the request context into the service (which
+// annotates its resolve, cache, search, improve and repair phases), and
+// the finished snapshot, carrying h's digest and error, lands in the
+// flight recorder plus the endpoint's latency histogram.
+func (o *serveObs) handle(mux *http.ServeMux, path string, h tracedHandler) {
+	lat := mlbs.NewLatencyHistogram(nil)
+	o.endpoints = append(o.endpoints, tracedEndpoint{path, lat})
+	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+		tr := mlbs.NewTrace(path)
 		digest, err := h(w, r.WithContext(mlbs.TraceContext(r.Context(), tr)))
 		msg := ""
 		if err != nil {
@@ -222,9 +205,9 @@ func (o *serveObs) traced(endpoint string, h func(w http.ResponseWriter, r *http
 		snap := tr.Finish(digest, msg)
 		o.rec.Record(snap)
 		if snap != nil {
-			o.lat[endpoint].Observe(time.Duration(snap.DurationNs))
+			lat.Observe(time.Duration(snap.DurationNs))
 		}
-	}
+	})
 }
 
 // tracesIndexResponse is the GET /debug/traces schema.
@@ -245,32 +228,24 @@ func handleTracesIndex(o *serveObs, w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, tracesIndexResponse{Seen: o.rec.Seen(), Recent: recent, Slowest: slowest})
 }
 
-func handleTraceByDigest(o *serveObs, w http.ResponseWriter, digest string) {
-	if s := o.rec.Find(digest); s != nil {
-		writeJSON(w, http.StatusOK, s)
-		return
-	}
-	httpError(w, http.StatusNotFound, fmt.Errorf("no retained trace for digest %s", digest))
-}
-
 func newMux(svc *mlbs.PlanService, obsv *serveObs) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/plan", obsv.traced("/v1/plan",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handlePlan(svc, w, r) }))
-	mux.HandleFunc("POST /v1/aggregate", obsv.traced("/v1/aggregate",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handleAggregate(svc, w, r) }))
+	obsv.handle(mux, "/v1/plan", endpoint(svc, servePlan))
+	obsv.handle(mux, "/v1/aggregate", endpoint(svc, serveAggregate))
+	obsv.handle(mux, "/v1/validate", endpoint(svc, serveValidate))
+	obsv.handle(mux, "/v1/replan", endpoint(svc, serveReplan))
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) { handleSweep(svc, w, r) })
-	mux.HandleFunc("POST /v1/validate", obsv.traced("/v1/validate",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handleValidate(svc, w, r) }))
-	mux.HandleFunc("POST /v1/replan", obsv.traced("/v1/replan",
-		func(w http.ResponseWriter, r *http.Request) (string, error) { return handleReplan(svc, w, r) }))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) { handleMetrics(svc, obsv, w) })
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) { handleTracesIndex(obsv, w) })
 	mux.HandleFunc("GET /debug/traces/{digest}", func(w http.ResponseWriter, r *http.Request) {
-		handleTraceByDigest(obsv, w, r.PathValue("digest"))
+		if snap := obsv.rec.Find(r.PathValue("digest")); snap != nil {
+			writeJSON(w, http.StatusOK, snap)
+			return
+		}
+		httpError(w, http.StatusNotFound, fmt.Errorf("no retained trace for digest %s", r.PathValue("digest")))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -280,46 +255,90 @@ func newMux(svc *mlbs.PlanService, obsv *serveObs) *http.ServeMux {
 	return mux
 }
 
-// baseSelection is the instance-selecting field set every endpoint
-// shares: either the paper generator's parameters or an inline graphio
-// instance encoding.
-type baseSelection struct {
-	N        int    `json:"n,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-	R        int    `json:"r,omitempty"`
-	WakeSeed uint64 `json:"wake_seed,omitempty"`
-	Channels int    `json:"channels,omitempty"`
-	// SINR physical-model parameters for the generator form; all zero
-	// keeps the protocol model. Inline instances carry their own.
-	SINRAlpha float64         `json:"sinr_alpha,omitempty"`
-	SINRBeta  float64         `json:"sinr_beta,omitempty"`
-	SINRNoise float64         `json:"sinr_noise,omitempty"`
+// workloadHTTP is the request part every workload endpoint shares: the
+// instance selection — the paper generator's parameters or an inline
+// graphio instance encoding — plus the scheduler, search budget and
+// caching discipline of mlbs.WorkloadRequest. Endpoint request types embed
+// it and add their own fields.
+type workloadHTTP struct {
+	// PlanGenerator holds the generator form's fields (n, seed, r,
+	// wake_seed, channels, sinr_*); an inline instance carries its own.
+	mlbs.PlanGenerator
 	Instance  json.RawMessage `json:"instance,omitempty"`
+	Scheduler string          `json:"scheduler,omitempty"`
+	Budget    int             `json:"budget,omitempty"`
+	NoCache   bool            `json:"no_cache,omitempty"`
 }
 
-// resolve projects the selection onto the service's request form: a
-// decoded instance when one was shipped inline, the generator parameters
-// otherwise. The decoded instance (if any) is returned for handlers that
-// need it locally (replay).
-func (b baseSelection) resolve() (*mlbs.Instance, *mlbs.PlanGenerator, error) {
+func (b *workloadHTTP) workload() *workloadHTTP { return b }
+
+// request builds the service envelope: a decoded instance when one was
+// shipped inline, the generator parameters otherwise.
+func (b *workloadHTTP) request() (mlbs.WorkloadRequest, error) {
+	req := mlbs.WorkloadRequest{Scheduler: b.Scheduler, Budget: b.Budget, NoCache: b.NoCache}
 	if len(b.Instance) > 0 {
 		in, err := mlbs.DecodeInstance(b.Instance)
 		if err != nil {
-			return nil, nil, err
+			return req, err
 		}
-		return &in, nil, nil
+		req.Instance = &in
+		return req, nil
 	}
-	return nil, &mlbs.PlanGenerator{N: b.N, Seed: b.Seed, DutyRate: b.R, WakeSeed: b.WakeSeed, Channels: b.Channels,
-		SINRAlpha: b.SINRAlpha, SINRBeta: b.SINRBeta, SINRNoise: b.SINRNoise}, nil
+	gen := b.PlanGenerator
+	req.Generator = &gen
+	return req, nil
+}
+
+// internalError marks a failure of the server itself (an answer it could
+// not encode or replay), which the error envelope reports as a 500; every
+// other failure of a workload request is the request's fault, a 400.
+type internalError struct{ error }
+
+// endpoint adapts one workload to HTTP: it decodes the size-limited body
+// into the endpoint's request type H (which embeds workloadHTTP), builds
+// the service envelope, runs serve and writes its answer as JSON or its
+// failure as the error envelope. serve returns the response body and the
+// request's digest; endpoint hands the digest and terminal error on to
+// the trace middleware.
+func endpoint[H any, P interface {
+	*H
+	workload() *workloadHTTP
+}](svc *mlbs.PlanService, serve func(context.Context, *mlbs.PlanService, P, mlbs.WorkloadRequest) (any, string, error)) tracedHandler {
+	return func(w http.ResponseWriter, r *http.Request) (string, error) {
+		hr := P(new(H))
+		data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		if err == nil {
+			if err = json.Unmarshal(data, hr); err != nil {
+				err = fmt.Errorf("bad request body: %w", err)
+			}
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return "", err
+		}
+		req, err := hr.workload().request()
+		var out any
+		digest := ""
+		if err == nil {
+			out, digest, err = serve(r.Context(), svc, hr, req)
+		}
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(internalError)) {
+				status = http.StatusInternalServerError
+			}
+			httpError(w, status, err)
+			return digest, err
+		}
+		writeJSON(w, http.StatusOK, out)
+		return digest, nil
+	}
 }
 
 // planHTTPRequest is the wire form of a plan request.
 type planHTTPRequest struct {
-	baseSelection
-	Scheduler string `json:"scheduler,omitempty"`
-	Budget    int    `json:"budget,omitempty"`
-	NoCache   bool   `json:"no_cache,omitempty"`
-	Replay    bool   `json:"replay,omitempty"`
+	workloadHTTP
+	Replay bool `json:"replay,omitempty"`
 	// ImproveBudgetMs buys anytime improvement: spent synchronously on a
 	// cold miss, or as a background upgrade re-published under the same
 	// digest on a warm hit. 0 keeps the pre-improver path bit-identical.
@@ -343,52 +362,15 @@ type planHTTPResponse struct {
 	Report     *mlbs.Report    `json:"report,omitempty"`
 }
 
-// decodeBody reads a size-limited request body into v, reporting a 400 on
-// failure. A non-nil return means the handler should stop.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+func servePlan(ctx context.Context, svc *mlbs.PlanService, hr *planHTTPRequest, req mlbs.WorkloadRequest) (any, string, error) {
+	req.ImproveBudget = time.Duration(hr.ImproveBudgetMs) * time.Millisecond
+	resp, err := svc.Plan(ctx, req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		err = fmt.Errorf("bad request body: %w", err)
-		httpError(w, http.StatusBadRequest, err)
-		return err
-	}
-	return nil
-}
-
-// Handlers return the request's digest and terminal error for the trace
-// middleware; the HTTP response itself is already written by the time
-// they return.
-func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr planHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	req := mlbs.PlanRequest{
-		Scheduler:     hr.Scheduler,
-		Budget:        hr.Budget,
-		NoCache:       hr.NoCache,
-		ImproveBudget: time.Duration(hr.ImproveBudgetMs) * time.Millisecond,
-	}
-	inst, gen, err := hr.resolve()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Plan(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return nil, "", err
 	}
 	resJSON, err := mlbs.EncodeResult(resp.Result)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return nil, resp.Digest, internalError{err}
 	}
 	out := planHTTPResponse{
 		Digest:     resp.Digest,
@@ -402,34 +384,11 @@ func handlePlan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (
 		Result:     resJSON,
 	}
 	if hr.Replay {
-		if inst == nil {
-			// Generator form: rebuild the instance the service planned
-			// (deterministic from the same parameters).
-			in, err := generatorInstance(hr.baseSelection)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err)
-				return resp.Digest, err
-			}
-			inst = &in
+		if out.Report, err = mlbs.Replay(resp.Instance, resp.Result.Schedule); err != nil {
+			return nil, resp.Digest, internalError{err}
 		}
-		rep, err := mlbs.Replay(*inst, resp.Result.Schedule)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return resp.Digest, err
-		}
-		out.Report = rep
 	}
-	writeJSON(w, http.StatusOK, out)
-	return resp.Digest, nil
-}
-
-// aggregateHTTPRequest is the wire form of a convergecast (aggregation)
-// request: the same base-instance selection as /v1/plan, with the
-// aggregation tree policy in scheduler ("agg-spt" default, "agg-bounded").
-type aggregateHTTPRequest struct {
-	baseSelection
-	Scheduler string `json:"scheduler,omitempty"`
-	NoCache   bool   `json:"no_cache,omitempty"`
+	return out, resp.Digest, nil
 }
 
 type aggregateHTTPResponse struct {
@@ -444,33 +403,16 @@ type aggregateHTTPResponse struct {
 	Result       json.RawMessage `json:"result"`
 }
 
-func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr aggregateHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	req := mlbs.AggregateRequest{WorkloadRequest: mlbs.WorkloadRequest{
-		Scheduler: hr.Scheduler,
-		NoCache:   hr.NoCache,
-	}}
-	inst, gen, err := hr.resolve()
+func serveAggregate(ctx context.Context, svc *mlbs.PlanService, _ *workloadHTTP, req mlbs.WorkloadRequest) (any, string, error) {
+	resp, err := svc.Aggregate(ctx, mlbs.AggregateRequest{WorkloadRequest: req})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Aggregate(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return nil, "", err
 	}
 	resJSON, err := mlbs.EncodeAggResult(resp.Result)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return nil, resp.Digest, internalError{err}
 	}
-	writeJSON(w, http.StatusOK, aggregateHTTPResponse{
+	return aggregateHTTPResponse{
 		Digest:       resp.Digest,
 		Scheduler:    resp.Scheduler,
 		CacheHit:     resp.CacheHit,
@@ -478,49 +420,19 @@ func handleAggregate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reque
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
 		LatencySlots: resp.Result.LatencySlots,
 		Result:       resJSON,
-	})
-	return resp.Digest, nil
-}
-
-// generatorInstance mirrors the service's generator resolution (and
-// mlb-run's conventions) for the replay path.
-func generatorInstance(b baseSelection) (mlbs.Instance, error) {
-	dep, err := mlbs.PaperDeployment(b.N, b.Seed)
-	if err != nil {
-		return mlbs.Instance{}, err
-	}
-	var in mlbs.Instance
-	if b.R > 1 {
-		ws := b.WakeSeed
-		if ws == 0 {
-			ws = b.Seed ^ 0xA5
-		}
-		in = mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(b.N, b.R, ws), 0)
-	} else {
-		in = mlbs.SyncInstance(dep.G, dep.Source)
-	}
-	if b.Channels > 1 {
-		in.Channels = b.Channels
-	}
-	if b.SINRAlpha != 0 || b.SINRBeta != 0 || b.SINRNoise != 0 {
-		in = mlbs.WithSINR(in, &mlbs.SINRParams{Alpha: b.SINRAlpha, Beta: b.SINRBeta, Noise: b.SINRNoise})
-	}
-	return in, nil
+	}, resp.Digest, nil
 }
 
 // validateHTTPRequest is the wire form of a reliability validation: the
 // plan selection plus the loss model and Monte-Carlo parameters.
 type validateHTTPRequest struct {
-	baseSelection
-	Scheduler     string  `json:"scheduler,omitempty"`
-	Budget        int     `json:"budget,omitempty"`
+	workloadHTTP
 	LossKind      string  `json:"loss_kind,omitempty"`
 	LossRate      float64 `json:"loss_rate"`
 	LossSeed      uint64  `json:"loss_seed,omitempty"`
 	Trials        int     `json:"trials,omitempty"`
 	Target        float64 `json:"target,omitempty"`
 	MaxExtraSlots int     `json:"max_extra_slots,omitempty"`
-	NoCache       bool    `json:"no_cache,omitempty"`
 }
 
 type validateHTTPResponse struct {
@@ -546,34 +458,20 @@ type repairHTTP struct {
 	Schedule        json.RawMessage `json:"schedule"`
 }
 
-func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr validateHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
-	req := mlbs.ValidateRequest{
-		WorkloadRequest: mlbs.WorkloadRequest{Scheduler: hr.Scheduler, Budget: hr.Budget, NoCache: hr.NoCache},
+func serveValidate(ctx context.Context, svc *mlbs.PlanService, hr *validateHTTPRequest, req mlbs.WorkloadRequest) (any, string, error) {
+	resp, err := svc.Validate(ctx, mlbs.ValidateRequest{
+		WorkloadRequest: req,
 		Loss:            mlbs.ReliabilityLossModel{Kind: hr.LossKind, Rate: hr.LossRate, Seed: hr.LossSeed},
 		Trials:          hr.Trials,
 		Target:          hr.Target,
 		MaxExtraSlots:   hr.MaxExtraSlots,
-	}
-	inst, gen, err := hr.resolve()
+	})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Validate(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return nil, "", err
 	}
 	repJSON, err := mlbs.EncodeReliabilityReport(resp.Report)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return nil, resp.Digest, internalError{err}
 	}
 	out := validateHTTPResponse{
 		Digest:       resp.Digest,
@@ -587,13 +485,11 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 	if rr := resp.Repair; rr != nil {
 		beforeJSON, err := mlbs.EncodeReliabilityReport(rr.Before)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return resp.Digest, err
+			return nil, resp.Digest, internalError{err}
 		}
 		schedJSON, err := mlbs.EncodeSchedule(rr.Schedule)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return resp.Digest, err
+			return nil, resp.Digest, internalError{err}
 		}
 		out.Repair = &repairHTTP{
 			Target:          rr.Target,
@@ -607,18 +503,14 @@ func handleValidate(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Reques
 			Schedule:        schedJSON,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
-	return resp.Digest, nil
+	return out, resp.Digest, nil
 }
 
 // replanHTTPRequest is the wire form of a churn repair: the base-instance
 // selection plus the delta in its EncodeChurnDelta schema.
 type replanHTTPRequest struct {
-	baseSelection
-	Delta     json.RawMessage `json:"delta"`
-	Scheduler string          `json:"scheduler,omitempty"`
-	Budget    int             `json:"budget,omitempty"`
-	NoCache   bool            `json:"no_cache,omitempty"`
+	workloadHTTP
+	Delta json.RawMessage `json:"delta"`
 }
 
 type replanHTTPResponse struct {
@@ -635,40 +527,23 @@ type replanHTTPResponse struct {
 	Result       json.RawMessage `json:"result"`
 }
 
-func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) (string, error) {
-	var hr replanHTTPRequest
-	if err := decodeBody(w, r, &hr); err != nil {
-		return "", err
-	}
+func serveReplan(ctx context.Context, svc *mlbs.PlanService, hr *replanHTTPRequest, req mlbs.WorkloadRequest) (any, string, error) {
 	if len(hr.Delta) == 0 {
-		err := fmt.Errorf("replan request needs a delta")
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return nil, "", errors.New("replan request needs a delta")
 	}
 	delta, err := mlbs.DecodeChurnDelta(hr.Delta)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return nil, "", err
 	}
-	req := mlbs.ReplanRequest{WorkloadRequest: mlbs.WorkloadRequest{Scheduler: hr.Scheduler, Budget: hr.Budget, NoCache: hr.NoCache}, Delta: delta}
-	inst, gen, err := hr.resolve()
+	resp, err := svc.Replan(ctx, mlbs.ReplanRequest{WorkloadRequest: req, Delta: delta})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
-	}
-	req.Instance, req.Generator = inst, gen
-
-	resp, err := svc.Replan(r.Context(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return "", err
+		return nil, "", err
 	}
 	resJSON, err := mlbs.EncodeResult(resp.Result)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return resp.Digest, err
+		return nil, resp.Digest, internalError{err}
 	}
-	writeJSON(w, http.StatusOK, replanHTTPResponse{
+	return replanHTTPResponse{
 		BaseDigest:   resp.BaseDigest,
 		Digest:       resp.Digest,
 		Scheduler:    resp.Scheduler,
@@ -680,8 +555,7 @@ func handleReplan(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request)
 		Coalesced:    resp.Coalesced,
 		ElapsedNs:    resp.Elapsed.Nanoseconds(),
 		Result:       resJSON,
-	})
-	return resp.Digest, nil
+	}, resp.Digest, nil
 }
 
 func handleSweep(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) {
@@ -711,34 +585,25 @@ func handleSweep(svc *mlbs.PlanService, w http.ResponseWriter, r *http.Request) 
 func handleMetrics(svc *mlbs.PlanService, obsv *serveObs, w http.ResponseWriter) {
 	m := svc.Metrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	mlbs.WritePromCounter(w, "mlbs_plan_requests_total", "Plan requests received.", m.Requests)
-	mlbs.WritePromCounter(w, "mlbs_plan_cache_hits_total", "Plan requests answered from the schedule cache.", m.Hits)
-	mlbs.WritePromCounter(w, "mlbs_plan_cache_misses_total", "Plan requests that missed the schedule cache.", m.Misses)
-	mlbs.WritePromCounter(w, "mlbs_plan_coalesced_total", "Plan requests coalesced onto another caller's in-flight search.", m.Coalesced)
-	mlbs.WritePromCounter(w, "mlbs_plan_searches_total", "Schedule searches actually executed by the worker pool.", m.Searches)
-	mlbs.WritePromCounter(w, "mlbs_plan_errors_total", "Requests that ended in an error.", m.Errors)
-	mlbs.WritePromCounter(w, "mlbs_plan_cache_evictions_total", "Schedule-cache LRU evictions.", m.Evictions)
-	mlbs.WritePromGauge(w, "mlbs_plan_cache_entries", "Schedule-cache entries currently resident.", int64(m.CacheEntries))
-	mlbs.WritePromGauge(w, "mlbs_plan_cache_capacity", "Schedule-cache entry bound (pair with mlbs_plan_cache_entries for occupancy).", int64(m.CacheCapacity))
+	for _, wl := range m.Workloads {
+		p, of := "mlbs_"+wl.Name+"_", " of the "+wl.Name+" workload"
+		mlbs.WritePromCounter(w, p+"requests_total", "Requests"+of+" received.", wl.Requests)
+		for _, c := range wl.Counters {
+			mlbs.WritePromCounter(w, p+c.Name+"_total", c.Help, c.Value)
+		}
+		mlbs.WritePromCounter(w, p+"cache_hits_total", "Cache lookups"+of+" answered from the cache.", wl.Cache.Hits)
+		mlbs.WritePromCounter(w, p+"cache_misses_total", "Cache lookups"+of+" that missed.", wl.Cache.Misses)
+		mlbs.WritePromGauge(w, p+"cache_entries", "Cache entries"+of+" currently resident.", int64(wl.Cache.Entries))
+	}
+	// The plan cache alone also exports its coalescing, eviction and
+	// capacity series.
+	plans := m.Workload("plan").Cache
+	mlbs.WritePromCounter(w, "mlbs_plan_coalesced_total", "Plan lookups coalesced onto another caller's in-flight search.", plans.Coalesced)
+	mlbs.WritePromCounter(w, "mlbs_plan_cache_evictions_total", "Plan-cache LRU evictions.", plans.Evictions)
+	mlbs.WritePromGauge(w, "mlbs_plan_cache_capacity", "Plan-cache entry bound (pair with mlbs_plan_cache_entries for occupancy).", int64(plans.Capacity))
+	mlbs.WritePromCounter(w, "mlbs_plan_errors_total", "Requests of any workload that ended in an error.", m.Errors)
 	mlbs.WritePromCounter(w, "mlbs_engine_states_total", "Branch-and-bound states expanded across every search the service ran.", m.EngineStates)
 	mlbs.WritePromCounter(w, "mlbs_engine_memo_hits_total", "Search memo-table hits across every search the service ran.", m.EngineMemoHits)
-	mlbs.WritePromCounter(w, "mlbs_aggregate_requests_total", "Convergecast (aggregation) requests received.", m.Aggregates)
-	mlbs.WritePromCounter(w, "mlbs_aggregate_searches_total", "Convergecast scheduler runs actually executed.", m.AggSearches)
-	mlbs.WritePromCounter(w, "mlbs_aggregate_cache_hits_total", "Aggregations answered from the convergecast-plan cache.", m.AggregateHits)
-	mlbs.WritePromCounter(w, "mlbs_aggregate_cache_misses_total", "Aggregations that missed the convergecast-plan cache.", m.AggregateMisses)
-	mlbs.WritePromGauge(w, "mlbs_aggregate_cache_entries", "Convergecast-plan cache entries currently resident.", int64(m.AggregateEntries))
-	mlbs.WritePromCounter(w, "mlbs_validate_requests_total", "Reliability validation requests received.", m.Validations)
-	mlbs.WritePromCounter(w, "mlbs_validate_trials_total", "Monte-Carlo trials executed.", m.MonteCarloTrials)
-	mlbs.WritePromCounter(w, "mlbs_validate_cache_hits_total", "Validations answered from the reliability-report cache.", m.ValidateHits)
-	mlbs.WritePromCounter(w, "mlbs_validate_cache_misses_total", "Validations that missed the reliability-report cache.", m.ValidateMisses)
-	mlbs.WritePromGauge(w, "mlbs_validate_cache_entries", "Reliability-report cache entries currently resident.", int64(m.ValidateEntries))
-	mlbs.WritePromCounter(w, "mlbs_replan_requests_total", "Churn replan requests received.", m.Replans)
-	mlbs.WritePromCounter(w, "mlbs_replan_prefix_total", "Repairs classified prefix-reusable.", m.ReplanPrefix)
-	mlbs.WritePromCounter(w, "mlbs_replan_incremental_total", "Repairs classified incremental.", m.ReplanIncremental)
-	mlbs.WritePromCounter(w, "mlbs_replan_cold_total", "Repairs that fell back to a cold full search.", m.ReplanCold)
-	mlbs.WritePromCounter(w, "mlbs_replan_cache_hits_total", "Replans answered from the repair cache.", m.ReplanHits)
-	mlbs.WritePromCounter(w, "mlbs_replan_cache_misses_total", "Replans that missed the repair cache.", m.ReplanMisses)
-	mlbs.WritePromGauge(w, "mlbs_replan_cache_entries", "Repair-cache entries currently resident.", int64(m.ReplanEntries))
 	mlbs.WritePromCounter(w, "mlbs_improve_total", "Anytime-improver upgrades accepted (sync and background).", m.Improvements)
 	mlbs.WritePromCounter(w, "mlbs_improve_slots_saved_total", "Latency slots shaved off served plans by the improver.", m.ImproveSlotsSaved)
 	mlbs.WritePromCounter(w, "mlbs_improve_queued_total", "Background improvement jobs enqueued.", m.ImproveQueued)
@@ -750,19 +615,15 @@ func handleMetrics(svc *mlbs.PlanService, obsv *serveObs, w http.ResponseWriter)
 		fmt.Fprintf(w, "mlbs_improve_generation_total{gen=\"%d\"} %d\n", i, c)
 	}
 	mlbs.WritePromCounter(w, "mlbs_traces_recorded_total", "Request traces finished into the flight recorder.", obsv.rec.Seen())
-	fmt.Fprintf(w, "# HELP mlbs_plan_latency_seconds Plan request latency quantiles (all requests).\n")
-	fmt.Fprintf(w, "# TYPE mlbs_plan_latency_seconds summary\n")
-	fmt.Fprintf(w, "mlbs_plan_latency_seconds{quantile=\"0.5\"} %g\n", m.P50.Seconds())
-	fmt.Fprintf(w, "mlbs_plan_latency_seconds{quantile=\"0.99\"} %g\n", m.P99.Seconds())
 	mlbs.WritePromHistogram(w, "mlbs_plan_hit_latency_seconds",
 		"Latency distribution of plan requests answered from the cache.", "", m.HitLatency)
 	mlbs.WritePromHistogram(w, "mlbs_plan_miss_latency_seconds",
 		"Latency distribution of plan requests that ran a search.", "", m.MissLatency)
 	fmt.Fprintf(w, "# HELP mlbs_http_request_duration_seconds End-to-end request latency by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE mlbs_http_request_duration_seconds histogram\n")
-	for _, ep := range tracedEndpoints {
+	for _, ep := range obsv.endpoints {
 		mlbs.WritePromHistogramSeries(w, "mlbs_http_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", ep), obsv.lat[ep].Snapshot())
+			fmt.Sprintf("endpoint=%q", ep.path), ep.lat.Snapshot())
 	}
 	writeRuntimeMetrics(w)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -507,5 +508,218 @@ func TestErrorEnvelopeTypedCodes(t *testing.T) {
 	}
 	if r2.StatusCode != http.StatusServiceUnavailable || eb2.Error.Code != "unavailable" {
 		t.Fatalf("closed service got status %d code %q", r2.StatusCode, eb2.Error.Code)
+	}
+}
+
+// postJSON posts body to url and returns the status code and response body.
+func postJSON(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	r, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	b, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.StatusCode, b
+}
+
+// TestMetricsSeriesSet pins the /metrics surface that dashboards, the CI
+// serve smoke and the benchmark scrape: after one request per workload,
+// the exposition carries exactly these series names with exactly these
+// label keys, and exactly these TYPE lines.
+func TestMetricsSeriesSet(t *testing.T) {
+	svc := mlbs.NewService(mlbs.ServiceConfig{Workers: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(newMux(svc, newServeObs(0, 0)))
+	defer ts.Close()
+	for _, c := range [][2]string{
+		{"/v1/plan", `{"n":60,"seed":1}`},
+		{"/v1/aggregate", `{"n":60,"seed":1}`},
+		{"/v1/validate", `{"n":60,"seed":1,"loss_rate":0.1,"trials":20}`},
+		{"/v1/replan", `{"n":60,"seed":1,"delta":{"version":1,"events":[{"kind":"join","x":25,"y":25}]}}`},
+	} {
+		if status, body := postJSON(t, ts.URL+c[0], c[1]); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c[0], status, body)
+		}
+	}
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Body.Close()
+	mb, err := io.ReadAll(mr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	series, types := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(mb)), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types[strings.TrimPrefix(line, "# TYPE ")] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			var keys []string
+			for _, kv := range strings.Split(strings.TrimSuffix(name[i+1:], "}"), ",") {
+				k, _, _ := strings.Cut(kv, "=")
+				keys = append(keys, k)
+			}
+			name = name[:i] + "{" + strings.Join(keys, ",") + "}"
+		}
+		series[name] = true
+	}
+
+	wantTypes := []string{
+		"mlbs_plan_requests_total counter", "mlbs_plan_cache_hits_total counter",
+		"mlbs_plan_cache_misses_total counter", "mlbs_plan_coalesced_total counter",
+		"mlbs_plan_searches_total counter", "mlbs_plan_errors_total counter",
+		"mlbs_plan_cache_evictions_total counter", "mlbs_plan_cache_entries gauge",
+		"mlbs_plan_cache_capacity gauge",
+		"mlbs_engine_states_total counter", "mlbs_engine_memo_hits_total counter",
+		"mlbs_aggregate_requests_total counter", "mlbs_aggregate_searches_total counter",
+		"mlbs_aggregate_cache_hits_total counter", "mlbs_aggregate_cache_misses_total counter",
+		"mlbs_aggregate_cache_entries gauge",
+		"mlbs_validate_requests_total counter", "mlbs_validate_trials_total counter",
+		"mlbs_validate_cache_hits_total counter", "mlbs_validate_cache_misses_total counter",
+		"mlbs_validate_cache_entries gauge",
+		"mlbs_replan_requests_total counter", "mlbs_replan_prefix_total counter",
+		"mlbs_replan_incremental_total counter", "mlbs_replan_cold_total counter",
+		"mlbs_replan_cache_hits_total counter", "mlbs_replan_cache_misses_total counter",
+		"mlbs_replan_cache_entries gauge",
+		"mlbs_improve_total counter", "mlbs_improve_slots_saved_total counter",
+		"mlbs_improve_queued_total counter", "mlbs_improve_dropped_total counter",
+		"mlbs_improve_queue_depth gauge", "mlbs_improve_generation_total counter",
+		"mlbs_traces_recorded_total counter",
+		"mlbs_plan_hit_latency_seconds histogram", "mlbs_plan_miss_latency_seconds histogram",
+		"mlbs_http_request_duration_seconds histogram",
+		"mlbs_goroutines gauge", "mlbs_gc_cycles_total counter", "mlbs_heap_objects_bytes gauge",
+	}
+	wantSeries := []string{
+		"mlbs_improve_generation_total{gen}",
+		"mlbs_plan_hit_latency_seconds_bucket{le}", "mlbs_plan_hit_latency_seconds_sum",
+		"mlbs_plan_hit_latency_seconds_count",
+		"mlbs_plan_miss_latency_seconds_bucket{le}", "mlbs_plan_miss_latency_seconds_sum",
+		"mlbs_plan_miss_latency_seconds_count",
+		"mlbs_http_request_duration_seconds_bucket{endpoint,le}",
+		"mlbs_http_request_duration_seconds_sum{endpoint}",
+		"mlbs_http_request_duration_seconds_count{endpoint}",
+	}
+	for _, tl := range wantTypes {
+		name, typ, _ := strings.Cut(tl, " ")
+		if typ == "counter" || typ == "gauge" {
+			if name != "mlbs_improve_generation_total" {
+				wantSeries = append(wantSeries, name)
+			}
+		}
+	}
+	check := func(kind string, got map[string]bool, want []string) {
+		t.Helper()
+		w := map[string]bool{}
+		for _, s := range want {
+			w[s] = true
+			if !got[s] {
+				t.Errorf("%s %q missing", kind, s)
+			}
+		}
+		for s := range got {
+			if !w[s] {
+				t.Errorf("unexpected %s %q", kind, s)
+			}
+		}
+	}
+	check("TYPE line", types, wantTypes)
+	check("series", series, wantSeries)
+}
+
+// TestPlanReplayGeneratorForm pins replay:true on generator-form plans:
+// the report must equal a local replay of the returned schedule on the
+// instance built from the same parameters, across the round-based and
+// duty-cycle systems, K channels and the SINR model.
+func TestPlanReplayGeneratorForm(t *testing.T) {
+	svc := mlbs.NewService(mlbs.ServiceConfig{Workers: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(newMux(svc, newServeObs(0, 0)))
+	defer ts.Close()
+
+	const n, seed = 80, 3
+	dep, err := mlbs.PaperDeployment(n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duty := func() mlbs.Instance {
+		return mlbs.AsyncInstance(dep.G, dep.Source, mlbs.UniformWake(n, 10, seed^0xA5), 0)
+	}
+	multi := duty()
+	multi.Channels = 4
+	for _, c := range []struct {
+		name, body string
+		in         mlbs.Instance
+	}{
+		{"sync", `{"n":80,"seed":3,"replay":true}`, mlbs.SyncInstance(dep.G, dep.Source)},
+		{"duty", `{"n":80,"seed":3,"r":10,"replay":true}`, duty()},
+		{"channels", `{"n":80,"seed":3,"r":10,"channels":4,"replay":true}`, multi},
+		{"sinr", `{"n":80,"seed":3,"sinr_alpha":3,"sinr_beta":2,"replay":true}`,
+			mlbs.WithSINR(mlbs.SyncInstance(dep.G, dep.Source), &mlbs.SINRParams{Alpha: 3, Beta: 2})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			status, body := postJSON(t, ts.URL+"/v1/plan", c.body)
+			if status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, body)
+			}
+			var out struct {
+				Result json.RawMessage `json:"result"`
+				Report json.RawMessage `json:"report"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			res, err := mlbs.DecodeResult(out.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := mlbs.Replay(c.in, res.Schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := json.Compact(&got, out.Report); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				t.Fatalf("served report %s\nlocal replay  %s", got.String(), want)
+			}
+		})
+	}
+}
+
+// TestGeneratorNodeBound pins the wire bound on generator requests: a node
+// count above the wire limit is a 400 with the bad_request code on every
+// workload endpoint, not a giant deployment built on the server.
+func TestGeneratorNodeBound(t *testing.T) {
+	svc := mlbs.NewService(mlbs.ServiceConfig{Workers: 1})
+	defer svc.Close()
+	ts := httptest.NewServer(newMux(svc, newServeObs(0, 0)))
+	defer ts.Close()
+	for _, ep := range []string{"/v1/plan", "/v1/aggregate", "/v1/validate", "/v1/replan"} {
+		body := `{"n":5000,"seed":1,"delta":{"version":1,"events":[{"kind":"join","x":25,"y":25}]}}`
+		status, b := postJSON(t, ts.URL+ep, body)
+		var eb errorBody
+		if err := json.Unmarshal(b, &eb); err != nil {
+			t.Fatalf("%s: error body does not decode: %v", ep, err)
+		}
+		if status != http.StatusBadRequest || eb.Error.Code != "bad_request" {
+			t.Fatalf("%s: n=5000 got status %d code %q", ep, status, eb.Error.Code)
+		}
 	}
 }

@@ -15,7 +15,8 @@
 //   - Recorder (recorder.go) retains finished traces in two bounded
 //     buffers and hands out immutable snapshots for /debug/traces.
 //   - Histogram (hist.go) is the fixed-edge latency histogram behind the
-//     per-endpoint Prometheus _bucket/_sum/_count series.
+//     per-endpoint and plan hit/miss Prometheus _bucket/_sum/_count
+//     series.
 //
 // A Trace is safe for handoff across goroutines (the service moves it
 // from the request goroutine onto a worker and back): every span

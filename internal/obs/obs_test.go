@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mlbs/internal/rng"
 )
 
 func TestTraceSpanTree(t *testing.T) {
@@ -178,6 +180,49 @@ func TestHistogramSnapshotAndProm(t *testing.T) {
 	if !strings.Contains(b.String(), "# TYPE c_total counter\nc_total 7") ||
 		!strings.Contains(b.String(), "# TYPE g gauge\ng 9") {
 		t.Fatalf("scalar prom output:\n%s", b.String())
+	}
+}
+
+// TestHistogramBucketUpperBoundsObservation is the round-trip property
+// of the fixed-edge histogram: every duration lands in exactly the first
+// bucket whose upper edge is at least the duration — never in a lower
+// one, so a cumulative series never undercounts — and durations beyond
+// the last finite edge count only toward +Inf.
+func TestHistogramBucketUpperBoundsObservation(t *testing.T) {
+	edges := DefaultLatencyEdgesNs()
+	check := func(ns int64) {
+		h := NewHistogram(nil)
+		h.Observe(time.Duration(ns))
+		s := h.Snapshot()
+		if s.Count != 1 || s.SumNs != ns {
+			t.Fatalf("ns=%d: count %d sum %d", ns, s.Count, s.SumNs)
+		}
+		first := len(edges) // the overflow bucket
+		for i, c := range s.CumCounts {
+			if c == 1 {
+				first = i
+				break
+			}
+		}
+		if first < len(edges) && edges[first] < ns {
+			t.Fatalf("ns=%d: landed under edge %d, below the observation", ns, edges[first])
+		}
+		if first > 0 && edges[first-1] >= ns {
+			t.Fatalf("ns=%d: skipped edge %d that already bounds it", ns, edges[first-1])
+		}
+	}
+	// Dense small values, every edge ±1, and random fuzz across the range.
+	for ns := int64(0); ns < 4096; ns++ {
+		check(ns)
+	}
+	for _, e := range edges {
+		check(e - 1)
+		check(e)
+		check(e + 1)
+	}
+	src := rng.New(1)
+	for i := 0; i < 20000; i++ {
+		check(int64(src.Uint64() >> uint(src.Intn(63)+1)))
 	}
 }
 

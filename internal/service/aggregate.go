@@ -26,21 +26,19 @@ type AggregateRequest struct {
 // AggregateResponse is one aggregation answer. Result is shared and
 // immutable.
 type AggregateResponse struct {
-	// Digest content-addresses the instance *as an aggregation problem* —
-	// the broadcast digest stream plus the "agg" tag, so convergecast and
-	// broadcast plans for one topology never alias.
-	Digest    string
-	Scheduler string
-	Result    *aggregate.Result
-	CacheHit  bool
-	Coalesced bool
-	Elapsed   time.Duration
+	// Served.Digest content-addresses the instance *as an aggregation
+	// problem* — the broadcast digest stream plus the "agg" tag, so
+	// convergecast and broadcast plans for one topology never alias.
+	Served
+	Result *aggregate.Result
 }
 
-// aggJob carries one convergecast scheduling run onto a worker.
-type aggJob struct {
-	kind string // resolved scheduler name: agg-spt | agg-bounded
-}
+// aggregateWorkload is the convergecast pipeline, cached by the
+// "agg"-tagged digest and tree policy.
+var aggregateWorkload = declare(workload[*aggregate.Result]{
+	name: "aggregate", capacity: 1024, shards: 8,
+	counters: []Counter{{Name: "searches", Help: "Convergecast scheduler runs actually executed."}},
+})
 
 // parseAggSpec normalizes the aggregation scheduler selection.
 func parseAggSpec(name string) (string, error) {
@@ -71,30 +69,20 @@ func (w *worker) aggScheduler(kind string) *aggregate.Scheduler {
 
 // execAggregate runs one convergecast scheduling job on the worker's
 // reusable scheduler.
-func (w *worker) execAggregate(s *Service, jb job) (*aggregate.Result, error) {
-	span := jb.tr.Root().Child("agg_search")
+func (w *worker) execAggregate(s *Service, in core.Instance, kind string, tr *obs.Trace) (*aggregate.Result, error) {
+	span := tr.Root().Child("agg_search")
 	defer span.End()
-	res, err := w.aggScheduler(jb.agg.kind).Schedule(jb.in)
+	res, err := w.aggScheduler(kind).Schedule(in)
 	if err != nil {
 		return nil, err
 	}
-	s.aggSearches.Add(1)
+	aggregateWorkload.of(s).add("searches", 1)
 	if span != nil {
 		span.SetStr("scheduler", res.Scheduler)
 		span.SetInt("latency_slots", int64(res.LatencySlots))
 		span.SetInt("advances", int64(len(res.Schedule.Advances)))
 	}
 	return res, nil
-}
-
-// dispatchAggregate queues one convergecast run on the worker shard owned
-// by key and waits for its result.
-func (s *Service) dispatchAggregate(ctx context.Context, key string, in core.Instance, kind string) (*aggregate.Result, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: in, agg: &aggJob{kind: kind}, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.agg, r.err
 }
 
 // Aggregate answers one convergecast request: from the aggregation cache
@@ -104,62 +92,25 @@ func (s *Service) dispatchAggregate(ctx context.Context, key string, in core.Ins
 // "agg"-tagged digest.
 func (s *Service) Aggregate(ctx context.Context, req AggregateRequest) (AggregateResponse, error) {
 	start := time.Now()
-	if err := s.enter(); err != nil {
-		return AggregateResponse{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return AggregateResponse{}, err
-	}
 	kind, err := parseAggSpec(req.Scheduler)
 	if err != nil {
 		return AggregateResponse{}, err
 	}
-	tr := obs.FromContext(ctx)
-	rs := tr.Root().Child("resolve")
-	in, err := s.resolve(req.WorkloadRequest)
+	in, digest, err := s.admit(ctx, aggregateWorkload.of(s), req.WorkloadRequest, kind, graphio.AggInstanceDigest)
 	if err != nil {
-		rs.End()
 		return AggregateResponse{}, err
 	}
-	digest, err := graphio.AggInstanceDigest(in)
-	if err != nil {
-		rs.End()
-		return AggregateResponse{}, err
-	}
-	if rs != nil {
-		rs.SetInt("nodes", int64(in.G.N()))
-		rs.SetStr("scheduler", kind)
-	}
-	rs.End()
-	key := digest.String() + "|" + kind
+	defer s.inflight.Done()
+	key := digest + "|" + kind
 
-	s.aggregates.Add(1)
-	cs := tr.Root().Child("cache")
-	res, hit, coalesced, err := cachedCompute(ctx, s.acache, key, req.NoCache,
+	res, hit, coalesced, err := lookup(ctx, s, "cache", aggregateWorkload.cache(s), key, req.NoCache,
 		func(ctx context.Context) (*aggregate.Result, error) {
-			return s.dispatchAggregate(ctx, key, in, kind)
-		})
-	elapsed := time.Since(start)
+			return dispatch(ctx, s, key, func(w *worker, tr *obs.Trace) (*aggregate.Result, error) {
+				return w.execAggregate(s, in, kind, tr)
+			})
+		}, nil)
 	if err != nil {
-		cs.End()
-		s.errs.Add(1)
 		return AggregateResponse{}, err
 	}
-	cs.SetBool("hit", hit)
-	cs.SetBool("coalesced", coalesced)
-	cs.End()
-	if hit {
-		s.hitHist.observe(elapsed)
-	} else {
-		s.missHist.observe(elapsed)
-	}
-	return AggregateResponse{
-		Digest:    digest.String(),
-		Scheduler: res.Scheduler,
-		Result:    res,
-		CacheHit:  hit,
-		Coalesced: coalesced,
-		Elapsed:   elapsed,
-	}, nil
+	return AggregateResponse{Served: Served{digest, res.Scheduler, hit, coalesced, time.Since(start)}, Result: res}, nil
 }

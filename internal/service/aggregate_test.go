@@ -55,7 +55,7 @@ func TestAggregateBasic(t *testing.T) {
 
 	// The aggregation digest must not alias the broadcast digest of the
 	// same topology: the two workloads answer different questions.
-	pr, err := s.Plan(ctx, Request{Generator: &Generator{N: 80, Seed: 3}})
+	pr, err := s.Plan(ctx, WorkloadRequest{Generator: &Generator{N: 80, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAggregateBasic(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if m.Aggregates != 2 || m.AggSearches != 1 || m.AggregateHits != 1 || m.AggregateMisses != 1 {
+	if m.Workload("aggregate").Requests != 2 || m.Workload("aggregate").Counter("searches") != 1 || m.Workload("aggregate").Cache.Hits != 1 || m.Workload("aggregate").Cache.Misses != 1 {
 		t.Fatalf("aggregation metrics = %+v", m)
 	}
 }
@@ -151,8 +151,8 @@ func TestAggregateConcurrentCoalesces(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different result object", i)
 		}
 	}
-	if m := s.Metrics(); m.AggSearches != 1 {
-		t.Fatalf("ran %d scheduler runs for %d identical requests, want 1", m.AggSearches, goroutines)
+	if m := s.Metrics(); m.Workload("aggregate").Counter("searches") != 1 {
+		t.Fatalf("ran %d scheduler runs for %d identical requests, want 1", m.Workload("aggregate").Counter("searches"), goroutines)
 	}
 }
 
@@ -170,8 +170,8 @@ func TestAggregateNoCacheRecomputesButStores(t *testing.T) {
 			t.Fatalf("request %d: NoCache request reported a hit", i)
 		}
 	}
-	if m := s.Metrics(); m.AggSearches != 2 {
-		t.Fatalf("scheduler runs = %d, want 2", m.AggSearches)
+	if m := s.Metrics(); m.Workload("aggregate").Counter("searches") != 2 {
+		t.Fatalf("scheduler runs = %d, want 2", m.Workload("aggregate").Counter("searches"))
 	}
 	req.NoCache = false
 	resp, err := s.Aggregate(ctx, req)
@@ -200,5 +200,29 @@ func TestAggregateRejectsBadRequests(t *testing.T) {
 	s.Close()
 	if _, err := s.Aggregate(ctx, AggregateRequest{WorkloadRequest{Generator: &Generator{N: 10, Seed: 1}}}); err == nil {
 		t.Fatal("aggregate after close succeeded")
+	}
+}
+
+// TestAggregateLeavesPlanLatencyAlone: the plan hit/miss latency
+// histograms describe Plan requests only; convergecast traffic, cold or
+// warm, must not land in them.
+func TestAggregateLeavesPlanLatencyAlone(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	req := AggregateRequest{WorkloadRequest{Generator: &Generator{N: 60, Seed: 1}}}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Aggregate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := s.Metrics()
+	if m.HitLatency.Count != 0 || m.MissLatency.Count != 0 {
+		t.Fatalf("aggregate traffic counted as plans: hit %d miss %d", m.HitLatency.Count, m.MissLatency.Count)
+	}
+	if _, err := s.Plan(context.Background(), req.WorkloadRequest); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.MissLatency.Count != 1 {
+		t.Fatalf("plan miss not observed: %d", m.MissLatency.Count)
 	}
 }

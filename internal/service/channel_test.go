@@ -20,7 +20,7 @@ func TestPlanChannels(t *testing.T) {
 
 	plan := func(k int) Response {
 		t.Helper()
-		resp, err := svc.Plan(ctx, Request{Generator: &Generator{N: 60, Seed: 1, DutyRate: 10, Channels: k}})
+		resp, err := svc.Plan(ctx, WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, DutyRate: 10, Channels: k}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestPlanChannels(t *testing.T) {
 
 	// The channelized plan validates and replays clean against the same
 	// instance the service planned.
-	in, err := svc.resolve(Request{Generator: &Generator{N: 60, Seed: 1, DutyRate: 10, Channels: 4}})
+	in, err := svc.resolve(WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, DutyRate: 10, Channels: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPlanChannels(t *testing.T) {
 		t.Fatal("K=4 repeat missed the cache")
 	}
 
-	if _, err := svc.Plan(ctx, Request{Generator: &Generator{N: 60, Seed: 1, Channels: core.MaxChannels + 1}}); err == nil {
+	if _, err := svc.Plan(ctx, WorkloadRequest{Generator: &Generator{N: 60, Seed: 1, Channels: core.MaxChannels + 1}}); err == nil {
 		t.Fatal("out-of-range channel count accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestReplanChannels(t *testing.T) {
 		t.Fatal("mutated digest equals base digest")
 	}
 
-	base, err := svc.resolve(Request{Generator: gen})
+	base, err := svc.resolve(WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"mlbs/internal/churn"
@@ -29,10 +28,10 @@ type ReplanRequest struct {
 
 // ReplanResponse is one replan answer. Result is shared and immutable.
 type ReplanResponse struct {
-	// BaseDigest / Digest content-address the base and mutated instances.
+	// Served.Digest content-addresses the mutated instance, BaseDigest the
+	// base one; Served's CacheHit/Coalesced describe the replan cache.
+	Served
 	BaseDigest string
-	Digest     string
-	Scheduler  string
 	Result     *core.Result
 	// Strategy, KeptAdvances and BaseAdvances report the blast-radius
 	// classification (see churn.Strategy).
@@ -41,20 +40,21 @@ type ReplanResponse struct {
 	BaseAdvances int
 	// BasePlanHit reports whether the base plan came from the plan cache.
 	// It is only meaningful when this caller actually computed the repair
-	// (a replan-cache hit resolves no base plan at all);
-	// CacheHit/Coalesced describe the replan cache.
+	// (a replan-cache hit resolves no base plan at all).
 	BasePlanHit bool
-	CacheHit    bool
-	Coalesced   bool
-	Elapsed     time.Duration
 }
 
-// replanJob carries one repair onto a worker: the base plan (shared,
-// immutable — the replanner never mutates it) and the delta.
-type replanJob struct {
-	basePlan *core.Schedule
-	delta    churn.Delta
-}
+// replanWorkload is the churn-repair pipeline, cached by (base plan key,
+// delta digest). Its work counters classify every computed repair by
+// churn.Strategy.
+var replanWorkload = declare(workload[*replanOutcome]{
+	name: "replan", capacity: 1024, shards: 8,
+	counters: []Counter{
+		{Name: string(churn.StrategyPrefix), Help: "Repairs classified prefix-reusable."},
+		{Name: string(churn.StrategyIncremental), Help: "Repairs classified incremental."},
+		{Name: string(churn.StrategyCold), Help: "Repairs that fell back to a cold full search."},
+	},
+})
 
 // replanOutcome is the cached product of one repair. The mutated instance
 // itself is not retained — its digest is, and the repaired plan is stored
@@ -67,19 +67,20 @@ type replanOutcome struct {
 	baseAdvances int
 }
 
-// execReplan runs one repair on the worker's reusable replanner (which
-// wraps the same per-spec engine the worker's plan searches use — one
-// goroutine, one arena set).
-func (w *worker) execReplan(s *Service, jb job) (*replanOutcome, error) {
-	span := jb.tr.Root().Child("repair")
+// execReplan repairs basePlan after delta on the worker's reusable
+// replanner (which wraps the same per-spec engine the worker's plan
+// searches use — one goroutine, one arena set). The replanner never
+// mutates the shared base plan.
+func (w *worker) execReplan(s *Service, base core.Instance, sp spec, basePlan *core.Schedule, delta churn.Delta, tr *obs.Trace) (*replanOutcome, error) {
+	span := tr.Root().Child("repair")
 	defer span.End()
-	sp := resolveSpec(jb.sp, jb.in)
+	sp = resolveSpec(sp, base)
 	rp, ok := w.replanners[sp]
 	if !ok {
 		rp = churn.NewReplanner(churn.ReplanConfig{Scheduler: w.scheduler(sp)})
 		w.replanners[sp] = rp
 	}
-	rr, err := rp.Replan(jb.in, jb.rep.basePlan, jb.rep.delta)
+	rr, err := rp.Replan(base, basePlan, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -108,16 +109,6 @@ func (w *worker) execReplan(s *Service, jb job) (*replanOutcome, error) {
 	}, nil
 }
 
-// dispatchReplan queues one repair on the worker shard owned by key and
-// waits for its outcome.
-func (s *Service) dispatchReplan(ctx context.Context, key string, base core.Instance, sp spec, rj *replanJob) (*replanOutcome, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: base, sp: sp, rep: rj, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.rep, r.err
-}
-
 // Replan answers one churn request: resolve the base instance, obtain its
 // plan through the plan cache, then serve the repaired plan from the
 // replan cache keyed by (base digest, delta digest) — repairing at most
@@ -127,13 +118,6 @@ func (s *Service) dispatchReplan(ctx context.Context, key string, base core.Inst
 // churned topology content-addresses like any other.
 func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse, error) {
 	start := time.Now()
-	if err := s.enter(); err != nil {
-		return ReplanResponse{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return ReplanResponse{}, err
-	}
 	sp, err := parseSpec(req.Scheduler, req.Budget)
 	if err != nil {
 		return ReplanResponse{}, err
@@ -141,26 +125,17 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	if err := req.Delta.Validate(); err != nil {
 		return ReplanResponse{}, err
 	}
-	base, err := s.resolve(req.WorkloadRequest)
-	if err != nil {
-		return ReplanResponse{}, err
-	}
-	if base.G == nil {
-		return ReplanResponse{}, errors.New("service: replan base has no graph")
-	}
-	baseDigest, err := graphio.InstanceDigest(base)
-	if err != nil {
-		return ReplanResponse{}, err
-	}
 	deltaDigest, err := churn.DeltaDigest(req.Delta)
 	if err != nil {
 		return ReplanResponse{}, err
 	}
+	base, baseDigest, err := s.admit(ctx, replanWorkload.of(s), req.WorkloadRequest, sp.kind, graphio.InstanceDigest)
+	if err != nil {
+		return ReplanResponse{}, err
+	}
+	defer s.inflight.Done()
 	pkey := planKey(baseDigest, sp)
 	rkey := pkey + "|replan|" + deltaDigest.String()
-	s.replans.Add(1)
-	tr := obs.FromContext(ctx)
-	cs := tr.Root().Child("cache")
 
 	// The base plan resolves lazily, inside the repair computation: a
 	// replan-cache hit must not pay a base-plan search (the base may have
@@ -168,35 +143,27 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 	// Steady-state churn traffic repairing the same base over and over
 	// finds the base plan in the plan cache on every actual repair.
 	var baseHit bool
-	out, hit, coalesced, err := cachedCompute(ctx, s.rcache, rkey, req.NoCache,
+	out, hit, coalesced, err := lookup(ctx, s, "cache", replanWorkload.cache(s), rkey, req.NoCache,
 		func(ctx context.Context) (*replanOutcome, error) {
-			basePlan, planHit, _, err := s.planFor(ctx, pkey, base, sp, false, 0)
+			basePlan, planHit, _, err := cachedCompute(ctx, planWorkload.cache(s), pkey, false, s.search(pkey, base, sp, 0))
 			if err != nil {
 				return nil, err
 			}
 			baseHit = planHit
-			return s.dispatchReplan(ctx, rkey, base, sp, &replanJob{basePlan: basePlan.Schedule, delta: req.Delta})
+			return dispatch(ctx, s, rkey, func(w *worker, tr *obs.Trace) (*replanOutcome, error) {
+				return w.execReplan(s, base, sp, basePlan.Schedule, req.Delta, tr)
+			})
+		},
+		func(cs *obs.Span, out *replanOutcome, _ bool) {
+			cs.SetBool("base_plan_hit", baseHit)
+			cs.SetStr("strategy", string(out.strategy))
 		})
 	if err != nil {
-		cs.End()
-		s.errs.Add(1)
 		return ReplanResponse{}, err
 	}
-	if cs != nil {
-		cs.SetBool("hit", hit)
-		cs.SetBool("coalesced", coalesced)
-		cs.SetBool("base_plan_hit", baseHit)
-		cs.SetStr("strategy", string(out.strategy))
-	}
-	cs.End()
 	if !hit && !coalesced {
-		switch out.strategy {
-		case churn.StrategyPrefix:
-			s.replanPrefix.Add(1)
-		case churn.StrategyIncremental:
-			s.replanIncremental.Add(1)
-		default:
-			s.replanCold.Add(1)
+		replanWorkload.of(s).add(string(out.strategy), 1)
+		if out.strategy == churn.StrategyCold {
 			// A cold repair ran the actual engine on the mutated instance —
 			// byte-for-byte what a Plan request would compute — so publish
 			// it under the mutated instance's own digest for later Plan
@@ -204,20 +171,16 @@ func (s *Service) Replan(ctx context.Context, req ReplanRequest) (ReplanResponse
 			// only: they are valid but possibly suboptimal, and a Plan
 			// request for an exactness-claiming scheduler must never be
 			// answered with one.
-			s.cache.Put(planKeyString(out.digest, sp), out.res)
+			planWorkload.cache(s).Put(planKey(out.digest, sp), out.res)
 		}
 	}
 	return ReplanResponse{
-		BaseDigest:   baseDigest.String(),
-		Digest:       out.digest,
-		Scheduler:    out.res.Scheduler,
+		Served:       Served{out.digest, out.res.Scheduler, hit, coalesced, time.Since(start)},
+		BaseDigest:   baseDigest,
 		Result:       out.res,
 		Strategy:     out.strategy,
 		KeptAdvances: out.keptAdvances,
 		BaseAdvances: out.baseAdvances,
 		BasePlanHit:  baseHit,
-		CacheHit:     hit,
-		Coalesced:    coalesced,
-		Elapsed:      time.Since(start),
 	}, nil
 }

@@ -89,7 +89,7 @@ func TestServiceReplanBasics(t *testing.T) {
 	// asking for an exact schedule the repair cannot promise). Only cold
 	// repairs — actual engine output — are published under the mutated
 	// digest.
-	pr, err := svc.Plan(ctx, Request{Instance: &mutated})
+	pr, err := svc.Plan(ctx, WorkloadRequest{Instance: &mutated})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServiceReplanBasics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpr, err := svc.Plan(ctx, Request{Instance: &cmutated})
+		cpr, err := svc.Plan(ctx, WorkloadRequest{Instance: &cmutated})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,10 +142,10 @@ func TestServiceReplanBasics(t *testing.T) {
 	}
 
 	m := svc.Metrics()
-	if m.ReplanHits != 1 {
+	if m.Workload("replan").Cache.Hits != 1 {
 		t.Fatalf("replan metrics wrong: %+v", m)
 	}
-	if m.ReplanPrefix+m.ReplanIncremental+m.ReplanCold < 2 {
+	if m.Workload("replan").Counter("prefix")+m.Workload("replan").Counter("incremental")+m.Workload("replan").Counter("cold") < 2 {
 		t.Fatalf("at least two repairs should have been computed: %+v", m)
 	}
 }
@@ -199,7 +199,7 @@ func TestServiceChurnConcurrency(t *testing.T) {
 	}
 	var snaps []snap
 	for i := range bases {
-		resp, err := svc.Plan(ctx, Request{Instance: &bases[i]})
+		resp, err := svc.Plan(ctx, WorkloadRequest{Instance: &bases[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestServiceChurnConcurrency(t *testing.T) {
 			base := bases[bi]
 			switch i % 4 {
 			case 0:
-				if _, err := svc.Plan(ctx, Request{Instance: &base}); err != nil {
+				if _, err := svc.Plan(ctx, WorkloadRequest{Instance: &base}); err != nil {
 					mu.Lock()
 					errs = append(errs, err)
 					mu.Unlock()
@@ -265,8 +265,8 @@ func TestServiceChurnConcurrency(t *testing.T) {
 	// Plan searches are bounded by distinct plan keys: the two base plans
 	// (computed before the storm) — everything else must have coalesced or
 	// hit. Replan residual searches are tracked separately.
-	if m := svc.Metrics(); m.Searches != int64(len(bases)) {
-		t.Fatalf("expected %d plan searches, got %d (coalescing broken?)", len(bases), m.Searches)
+	if m := svc.Metrics(); m.Workload("plan").Counter("searches") != int64(len(bases)) {
+		t.Fatalf("expected %d plan searches, got %d (coalescing broken?)", len(bases), m.Workload("plan").Counter("searches"))
 	}
 }
 
@@ -305,10 +305,10 @@ func TestServiceReplanSingleflight(t *testing.T) {
 		t.Fatalf("%d goroutines computed the repair, want exactly 1", n)
 	}
 	m := svc.Metrics()
-	if m.ReplanMisses != 1 {
-		t.Fatalf("replan cache misses %d, want 1", m.ReplanMisses)
+	if m.Workload("replan").Cache.Misses != 1 {
+		t.Fatalf("replan cache misses %d, want 1", m.Workload("replan").Cache.Misses)
 	}
-	if total := m.ReplanPrefix + m.ReplanIncremental + m.ReplanCold; total != 1 {
+	if total := m.Workload("replan").Counter("prefix") + m.Workload("replan").Counter("incremental") + m.Workload("replan").Counter("cold"); total != 1 {
 		t.Fatalf("%d repairs computed, want 1", total)
 	}
 }

@@ -53,36 +53,39 @@ type Config struct {
 	QueueDepth int
 	// CacheCapacity bounds the plan cache (entries). Default 4096.
 	CacheCapacity int
-	// CacheShards is the plan cache's shard count. Default 16.
-	CacheShards int
-	// GenCacheCapacity bounds the generated-deployment cache that backs
-	// Generator requests. Default 256.
-	GenCacheCapacity int
-	// ValidateCacheCapacity bounds the reliability-report cache that backs
-	// Validate requests (entries). Default 1024.
-	ValidateCacheCapacity int
-	// ReplanCacheCapacity bounds the repaired-plan cache keyed by
-	// (base digest, delta digest) that backs Replan requests. Default 1024.
-	ReplanCacheCapacity int
-	// AggregateCacheCapacity bounds the convergecast-plan cache that backs
-	// Aggregate requests (entries). Default 1024.
-	AggregateCacheCapacity int
 	// ImproveWorkers is the background anytime-improver pool size. 0 (the
 	// default) disables background improvement entirely: warm hits with an
 	// improve budget are served as-is, exactly the pre-improver behavior.
 	// Cold-path synchronous improvement only needs a request budget, not
 	// the pool.
 	ImproveWorkers int
-	// ImproveQueue bounds the background improvement queue; a full queue
-	// drops the upgrade request (counted, never blocks a Plan). Default 64.
-	ImproveQueue int
 }
+
+// Fixed sizes of the service's internal queues and caches; the derived
+// workloads' cache bounds sit in their own declarations.
+const (
+	// genCacheCapacity bounds the generated-deployment cache that backs
+	// Generator requests.
+	genCacheCapacity = 256
+	// improveQueue bounds the background improvement queue; a full queue
+	// drops the upgrade request (counted, never blocks a Plan).
+	improveQueue = 64
+)
+
+// planWorkload is the broadcast plan pipeline. Its cache, keyed by
+// digest|scheduler|budget, also serves the base plans of validate and
+// replan and receives cold replans.
+var planWorkload = declare(workload[*core.Result]{
+	name: "plan", shards: 16,
+	counters: []Counter{{Name: "searches", Help: "Schedule searches actually executed by the worker pool."}},
+})
 
 // Generator asks the service to build the instance itself from the
 // paper's topology family — the request form remote clients use when they
 // don't want to ship a full instance encoding.
 type Generator struct {
-	// N is the node count of the paper deployment (Section V-A setting).
+	// N is the node count of the paper deployment (Section V-A setting),
+	// at most graphio.MaxWireNodes.
 	N int `json:"n"`
 	// Seed is the deployment seed.
 	Seed uint64 `json:"seed"`
@@ -108,8 +111,8 @@ type Generator struct {
 // service answers — plan, aggregate, validate, replan. It selects the
 // instance (exactly one of Instance and Generator must be set, with the
 // generator carrying the duty-cycle/channel/SINR knobs), the scheduler,
-// and the caching discipline. Endpoint-specific request types embed it
-// and add their own fields on top.
+// and the caching discipline. Plan takes it as is; the other workloads'
+// request types embed it and add their own fields on top.
 type WorkloadRequest struct {
 	Instance  *core.Instance
 	Generator *Generator
@@ -136,65 +139,42 @@ type WorkloadRequest struct {
 	ImproveBudget time.Duration
 }
 
-// Request is one plan request — the original name of the shared envelope,
-// kept as an alias so plan call sites read as before.
-type Request = WorkloadRequest
-
-// Response is one plan answer. Result is shared and immutable.
-type Response struct {
+// Served is what every workload's answer reports about how it was
+// served: the content address of its instance, the scheduler that
+// produced it, the outcome of the workload's own cache and the time taken.
+type Served struct {
 	Digest    string
 	Scheduler string
-	Result    *core.Result
 	CacheHit  bool
 	Coalesced bool
 	Elapsed   time.Duration
+}
+
+// Response is one plan answer. Result is shared and immutable.
+type Response struct {
+	Served
+	// Instance is the instance the service resolved and planned — for
+	// Generator requests, the deployment it built — so callers can replay
+	// the schedule without rebuilding it.
+	Instance core.Instance
+	Result   *core.Result
 	// Err is set instead of Result on per-item failures inside PlanBatch.
 	Err error
 }
 
 // Metrics is a point-in-time snapshot of service traffic.
 type Metrics struct {
-	Requests     int64
-	Hits         int64
-	Misses       int64
-	Coalesced    int64
-	Searches     int64
-	Errors       int64
-	Evictions    int64
-	CacheEntries int
-	// CacheCapacity is the plan cache's entry bound, paired with
-	// CacheEntries so occupancy is a ratio, not a bare count.
-	CacheCapacity int
+	// Workloads holds one record per declared workload, in declaration
+	// order.
+	Workloads []WorkloadMetrics
+	// Errors counts requests of any workload that ended in an error.
+	Errors int64
 	// Engine totals accumulated across every search the service ran
 	// (plans, cold replans): branch-and-bound states expanded and memo
 	// hits. These are the search-internal counters behind
 	// mlbs_engine_states_total.
 	EngineStates   int64
 	EngineMemoHits int64
-	// Validation traffic: request count, Monte-Carlo replays executed, and
-	// the reliability-report cache's counters.
-	Validations      int64
-	MonteCarloTrials int64
-	ValidateHits     int64
-	ValidateMisses   int64
-	ValidateEntries  int
-	// Aggregation traffic: convergecast request count, scheduler runs
-	// actually executed (misses), and the convergecast-plan cache's
-	// counters.
-	Aggregates       int64
-	AggSearches      int64
-	AggregateHits    int64
-	AggregateMisses  int64
-	AggregateEntries int
-	// Churn traffic: replan request count, computed repairs by strategy
-	// (see churn.Strategy), and the replan cache's counters.
-	Replans           int64
-	ReplanPrefix      int64
-	ReplanIncremental int64
-	ReplanCold        int64
-	ReplanHits        int64
-	ReplanMisses      int64
-	ReplanEntries     int
 	// Anytime-improvement traffic: accepted upgrades (sync + background
 	// publications), total latency slots shaved off served plans, and the
 	// background queue's accounting. Generations histograms publications
@@ -208,17 +188,22 @@ type Metrics struct {
 	// occupancy (0 when the pool is disabled).
 	ImproveQueueDepth int
 	Generations       [improveGenBuckets]int64
-	// HitLatency/MissLatency are the full hit and miss latency
-	// distributions coarsened onto the shared Prometheus edge set —
-	// the data behind the _bucket/_sum/_count series /metrics emits.
+	// HitLatency/MissLatency are the latency distributions of Plan
+	// requests answered from the cache and of those that ran (or waited
+	// on) a search.
 	HitLatency  obs.HistogramSnapshot
 	MissLatency obs.HistogramSnapshot
-	HitP50      time.Duration
-	HitP99      time.Duration
-	MissP50     time.Duration
-	MissP99     time.Duration
-	P50         time.Duration
-	P99         time.Duration
+}
+
+// Workload returns the record of the named workload (the zero record for
+// an unknown name).
+func (m Metrics) Workload(name string) WorkloadMetrics {
+	for _, w := range m.Workloads {
+		if w.Name == name {
+			return w
+		}
+	}
+	return WorkloadMetrics{}
 }
 
 // spec is a normalized scheduler selection — part of the cache key and the
@@ -245,49 +230,9 @@ func parseSpec(name string, budget int) (spec, error) {
 	}
 }
 
-type job struct {
-	in    core.Instance
-	sp    spec
-	val   *valJob    // set for Monte-Carlo validation jobs
-	rep   *replanJob // set for churn-repair jobs
-	agg   *aggJob    // set for convergecast-scheduling jobs
-	reply chan<- jobResult
-	// improve is the synchronous anytime-improvement budget spent on a
-	// cold search's result before it is stored and returned.
-	improve time.Duration
-	// tr is the requesting caller's trace (nil for untraced requests —
-	// the overwhelmingly common case). Handing the pointer across the
-	// queue is safe: every span operation takes the trace's own mutex.
-	// Under singleflight only the leader's trace rides the job, so
-	// coalesced waiters see cache attributes but no worker-side spans.
-	tr *obs.Trace
-}
-
-// valJob carries one Monte-Carlo validation: the (shared, immutable)
-// schedule to replay plus the loss-model parameters. Repair never mutates
-// the schedule it is given; it clones before appending.
-type valJob struct {
-	sched    *core.Schedule
-	model    reliability.LossModel
-	trials   int
-	target   float64
-	maxExtra int
-}
-
-type jobResult struct {
-	res *core.Result
-	out *validateOutcome
-	rep *replanOutcome
-	agg *aggregate.Result
-	err error
-}
-
-// validateOutcome is the cached product of one validation: the estimate,
-// plus the repair result when a target was requested.
-type validateOutcome struct {
-	report *reliability.Report
-	repair *reliability.RepairResult
-}
+// job is one unit of worker-pool work: a closure run on the worker's own
+// goroutine, with exclusive use of the worker's reusable arenas.
+type job func(*worker)
 
 // worker owns one goroutine and the reusable engines it has instantiated;
 // the engines map and the Monte-Carlo estimator are touched only from the
@@ -311,82 +256,30 @@ type worker struct {
 func (w *worker) run(s *Service) {
 	defer s.wg.Done()
 	for jb := range w.jobs {
-		if jb.agg != nil {
-			res, err := w.execAggregate(s, jb)
-			jb.reply <- jobResult{agg: res, err: err}
-			continue
-		}
-		if jb.rep != nil {
-			rep, err := w.execReplan(s, jb)
-			jb.reply <- jobResult{rep: rep, err: err}
-			continue
-		}
-		if jb.val != nil {
-			out, err := w.execValidate(jb)
-			if err == nil {
-				// Repair re-estimates once per round on top of the
-				// baseline estimate; count every replay actually run.
-				batches := int64(1)
-				if out.repair != nil {
-					batches = int64(out.repair.Rounds) + 1
-				}
-				s.mcTrials.Add(int64(jb.val.trials) * batches)
-			}
-			jb.reply <- jobResult{out: out, err: err}
-			continue
-		}
-		res, err := w.exec(s, jb)
-		if err == nil {
-			s.searches.Add(1)
-		}
-		jb.reply <- jobResult{res: res, err: err}
+		jb(w)
 	}
 }
 
-// execValidate runs one Monte-Carlo validation on the worker's reusable
-// estimator. Trials run single-threaded here — the pool provides the
-// concurrency across requests, and the report is identical either way.
-func (w *worker) execValidate(jb job) (*validateOutcome, error) {
-	if w.est == nil {
-		w.est = reliability.NewEstimator()
-	}
-	v := jb.val
-	if v.target > 0 {
-		rr, err := w.est.Repair(jb.in, v.sched, v.model, reliability.RepairConfig{
-			Target:        v.target,
-			Trials:        v.trials,
-			Workers:       1,
-			MaxExtraSlots: v.maxExtra,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &validateOutcome{report: rr.After, repair: rr}, nil
-	}
-	rep, err := w.est.Estimate(jb.in, v.sched, v.model, reliability.Config{Trials: v.trials, Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &validateOutcome{report: rep}, nil
-}
-
-func (w *worker) exec(s *Service, jb job) (*core.Result, error) {
-	search := jb.tr.Root().Child("search")
-	sched := w.scheduler(resolveSpec(jb.sp, jb.in))
+// exec runs one plan search on the worker's reusable engine for sp, then
+// spends the synchronous improve budget on its result.
+func (w *worker) exec(s *Service, in core.Instance, sp spec, budget time.Duration, tr *obs.Trace) (*core.Result, error) {
+	search := tr.Root().Child("search")
+	sched := w.scheduler(resolveSpec(sp, in))
 	var res *core.Result
 	var err error
-	if en, ok := sched.(*core.Engine); ok && jb.tr != nil {
+	if en, ok := sched.(*core.Engine); ok && tr != nil {
 		// Traced searches collect the per-depth profile; the plain path
 		// runs exactly the pre-observability search so untraced results
 		// keep their historic encodings.
-		res, err = en.ScheduleProfiled(jb.in)
+		res, err = en.ScheduleProfiled(in)
 	} else {
-		res, err = sched.Schedule(jb.in)
+		res, err = sched.Schedule(in)
 	}
 	if err != nil {
 		search.End()
 		return res, err
 	}
+	planWorkload.of(s).add("searches", 1)
 	s.engineStates.Add(int64(res.Stats.Expanded))
 	s.engineMemoHits.Add(int64(res.Stats.MemoHits))
 	search.SetStr("scheduler", res.Scheduler)
@@ -400,9 +293,9 @@ func (w *worker) exec(s *Service, jb job) (*core.Result, error) {
 	}
 	search.End()
 
-	isp := jb.tr.Root().Child("improve")
-	isp.SetInt("budget_ns", int64(jb.improve))
-	if jb.improve <= 0 || res.Exact {
+	isp := tr.Root().Child("improve")
+	isp.SetInt("budget_ns", int64(budget))
+	if budget <= 0 || res.Exact {
 		isp.SetBool("skipped", true)
 		isp.End()
 		return res, nil
@@ -414,7 +307,7 @@ func (w *worker) exec(s *Service, jb job) (*core.Result, error) {
 	if w.imp == nil {
 		w.imp = improve.New()
 	}
-	out, st, ierr := w.imp.Improve(jb.in, res.Schedule, improve.Options{Deadline: jb.improve})
+	out, st, ierr := w.imp.Improve(in, res.Schedule, improve.Options{Deadline: budget})
 	setImproveAttrs(isp, st)
 	isp.End()
 	if ierr != nil || (st.SlotsSaved == 0 && !st.Exact) {
@@ -513,12 +406,10 @@ func newScheduler(sp spec) core.Scheduler {
 // Service serves broadcast plans concurrently. Build with New; Close when
 // done.
 type Service struct {
-	cfg     Config
-	cache   *plancache.Cache[*core.Result]
+	// table holds this service's cache and counters for every declared
+	// workload, indexed by workload id.
+	table   []*workloadState
 	gens    *plancache.Cache[core.Instance]
-	vcache  *plancache.Cache[*validateOutcome]
-	rcache  *plancache.Cache[*replanOutcome]
-	acache  *plancache.Cache[*aggregate.Result]
 	workers []*worker
 	wg      sync.WaitGroup
 
@@ -535,26 +426,17 @@ type Service struct {
 	improveMu   sync.Mutex
 	improving   map[string]struct{}
 
-	requests          atomic.Int64
-	aggregates        atomic.Int64
-	aggSearches       atomic.Int64
-	searches          atomic.Int64
 	engineStates      atomic.Int64
 	engineMemoHits    atomic.Int64
-	validations       atomic.Int64
-	mcTrials          atomic.Int64
-	replans           atomic.Int64
-	replanPrefix      atomic.Int64
-	replanIncremental atomic.Int64
-	replanCold        atomic.Int64
 	errs              atomic.Int64
 	improvements      atomic.Int64
 	improveSlotsSaved atomic.Int64
 	improveQueued     atomic.Int64
 	improveDropped    atomic.Int64
 	genHist           [improveGenBuckets]atomic.Int64
-	hitHist           hist
-	missHist          hist
+	// hitLatency/missLatency split Plan latency by cache outcome.
+	hitLatency  *obs.Histogram
+	missLatency *obs.Histogram
 }
 
 // improveGenBuckets sizes the generation histogram: bucket i counts
@@ -578,25 +460,13 @@ func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.GenCacheCapacity <= 0 {
-		cfg.GenCacheCapacity = 256
-	}
-	if cfg.ValidateCacheCapacity <= 0 {
-		cfg.ValidateCacheCapacity = 1024
-	}
-	if cfg.ReplanCacheCapacity <= 0 {
-		cfg.ReplanCacheCapacity = 1024
-	}
-	if cfg.AggregateCacheCapacity <= 0 {
-		cfg.AggregateCacheCapacity = 1024
-	}
 	s := &Service{
-		cfg:    cfg,
-		cache:  plancache.New[*core.Result](cfg.CacheCapacity, cfg.CacheShards),
-		gens:   plancache.New[core.Instance](cfg.GenCacheCapacity, 4),
-		vcache: plancache.New[*validateOutcome](cfg.ValidateCacheCapacity, 8),
-		rcache: plancache.New[*replanOutcome](cfg.ReplanCacheCapacity, 8),
-		acache: plancache.New[*aggregate.Result](cfg.AggregateCacheCapacity, 8),
+		gens:        plancache.New[core.Instance](genCacheCapacity, 4),
+		hitLatency:  obs.NewHistogram(nil),
+		missLatency: obs.NewHistogram(nil),
+	}
+	for _, open := range declared {
+		s.table = append(s.table, open(cfg))
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
@@ -610,11 +480,7 @@ func New(cfg Config) *Service {
 		go w.run(s)
 	}
 	if cfg.ImproveWorkers > 0 {
-		if cfg.ImproveQueue <= 0 {
-			cfg.ImproveQueue = 64
-		}
-		s.cfg.ImproveQueue = cfg.ImproveQueue
-		s.improveJobs = make(chan improveJob, cfg.ImproveQueue)
+		s.improveJobs = make(chan improveJob, improveQueue)
 		s.improving = make(map[string]struct{})
 		for i := 0; i < cfg.ImproveWorkers; i++ {
 			s.improveWg.Add(1)
@@ -647,12 +513,13 @@ func (s *Service) runImprover() {
 // time. Update never inserts, so an upgrade racing an eviction drops
 // instead of resurrecting the entry.
 func (s *Service) upgrade(imp *improve.Improver, jb improveJob) {
-	cur, ok := s.cache.Peek(jb.key)
+	plans := planWorkload.cache(s)
+	cur, ok := plans.Peek(jb.key)
 	if !ok || cur.Exact {
 		return
 	}
 	publish := func(sched *core.Schedule, exact bool) {
-		s.cache.Update(jb.key, func(res *core.Result) (*core.Result, bool) {
+		plans.Update(jb.key, func(res *core.Result) (*core.Result, bool) {
 			if sched.End() >= res.Schedule.End() {
 				// A concurrent writer (another budget's cold compute, a
 				// replan publication) got here with an equal or better
@@ -745,21 +612,10 @@ func (s *Service) Close() {
 	}
 }
 
-// enter registers an in-flight request; it fails once Close has begun.
-func (s *Service) enter() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.inflight.Add(1)
-	return nil
-}
-
 // resolve materializes the request's instance, serving Generator requests
 // from the deployment cache so repeat generator traffic never re-samples
 // the topology.
-func (s *Service) resolve(req Request) (core.Instance, error) {
+func (s *Service) resolve(req WorkloadRequest) (core.Instance, error) {
 	switch {
 	case req.Instance != nil && req.Generator != nil:
 		return core.Instance{}, errors.New("service: request sets both Instance and Generator")
@@ -771,6 +627,9 @@ func (s *Service) resolve(req Request) (core.Instance, error) {
 	gen := *req.Generator
 	if gen.N < 1 {
 		return core.Instance{}, fmt.Errorf("service: generator node count %d", gen.N)
+	}
+	if gen.N > graphio.MaxWireNodes {
+		return core.Instance{}, fmt.Errorf("service: generator node count %d exceeds the wire limit %d", gen.N, graphio.MaxWireNodes)
 	}
 	if gen.Channels < 0 || gen.Channels > core.MaxChannels {
 		return core.Instance{}, fmt.Errorf("service: generator channel count %d outside [0,%d]", gen.Channels, core.MaxChannels)
@@ -814,140 +673,58 @@ func (s *Service) resolve(req Request) (core.Instance, error) {
 	return in, err
 }
 
-// dispatchJob queues one job (search or validation) on the worker shard
-// owned by key and waits for its result. Once queued the job runs to
-// completion (its budget/trial count bounds the time); ctx only guards
-// the queueing itself. The returned error is the queueing error; the
-// job's own outcome travels inside the jobResult.
-func (s *Service) dispatchJob(ctx context.Context, key string, jb job) (jobResult, error) {
-	// plancache.KeyHash, not a local hash: worker selection deliberately
-	// co-shards with the cache so repeats of an instance land on the
-	// worker whose engine/estimator arenas are already sized for it.
-	w := s.workers[int(plancache.KeyHash(key)%uint64(len(s.workers)))]
-	reply := make(chan jobResult, 1)
-	jb.reply = reply
-	select {
-	case w.jobs <- jb:
-	case <-ctx.Done():
-		return jobResult{}, ctx.Err()
-	}
-	return <-reply, nil
-}
-
-// dispatch queues one search and waits for its result. The caller's trace
-// rides the job onto the worker: under singleflight only the leader's
-// context reaches this point, so exactly one trace collects the
-// worker-side spans.
-func (s *Service) dispatch(ctx context.Context, key string, in core.Instance, sp spec, improveBudget time.Duration) (*core.Result, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: in, sp: sp, improve: improveBudget, tr: obs.FromContext(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	return r.res, r.err
-}
-
-func planKey(digest graphio.Digest, sp spec) string {
-	return planKeyString(digest.String(), sp)
-}
-
-// planKeyString is planKey for a digest already in hex form — the replan
-// path publishes repaired plans under the mutated instance's digest
-// without re-materializing a graphio.Digest.
-func planKeyString(digest string, sp spec) string {
+// planKey is the plan cache's key for a hex digest under sp.
+func planKey(digest string, sp spec) string {
 	return digest + "|" + sp.kind + "|" + strconv.Itoa(sp.budget)
 }
 
-// cachedCompute is the shared serving discipline of every content-
-// addressed cache in the service: serve key from c, computing at most
-// once even under concurrent identical requests. noCache bypasses the
-// lookup but still stores the result. The computation always runs with a
-// context detached from the caller's cancellation — it is shared by every
-// coalesced waiter, so it must not die with the leader's request context
-// (a leader disconnecting would fail N−1 innocent callers).
-func cachedCompute[V any](ctx context.Context, c *plancache.Cache[V], key string, noCache bool,
-	compute func(context.Context) (V, error)) (val V, hit, coalesced bool, err error) {
-	if noCache {
-		// Nothing is shared on the bypass path — the lone caller's own
-		// context governs its computation.
-		val, err = compute(ctx)
-		if err == nil {
-			c.Put(key, val)
-		}
-		return val, false, false, err
+// search is the plan cache's compute function for key: one search of in
+// with sp, dispatched onto the worker shard key owns, then improved for
+// up to improveBudget.
+func (s *Service) search(key string, in core.Instance, sp spec, improveBudget time.Duration) func(context.Context) (*core.Result, error) {
+	return func(ctx context.Context) (*core.Result, error) {
+		return dispatch(ctx, s, key, func(w *worker, tr *obs.Trace) (*core.Result, error) {
+			return w.exec(s, in, sp, improveBudget, tr)
+		})
 	}
-	shared := context.WithoutCancel(ctx)
-	return c.GetOrCompute(key, func() (V, error) {
-		return compute(shared)
-	})
-}
-
-// planFor obtains the plan behind key: from the cache, or by exactly one
-// dispatched search even under concurrent identical requests.
-func (s *Service) planFor(ctx context.Context, key string, in core.Instance, sp spec, noCache bool, improveBudget time.Duration) (res *core.Result, hit, coalesced bool, err error) {
-	return cachedCompute(ctx, s.cache, key, noCache, func(ctx context.Context) (*core.Result, error) {
-		return s.dispatch(ctx, key, in, sp, improveBudget)
-	})
 }
 
 // Plan answers one request: from the cache when the instance has been
 // planned before, otherwise by exactly one search even under concurrent
 // identical requests.
-func (s *Service) Plan(ctx context.Context, req Request) (Response, error) {
+func (s *Service) Plan(ctx context.Context, req WorkloadRequest) (Response, error) {
 	start := time.Now()
-	if err := s.enter(); err != nil {
-		return Response{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
 	sp, err := parseSpec(req.Scheduler, req.Budget)
 	if err != nil {
 		return Response{}, err
 	}
-	// tr is nil on untraced requests — every span call below is then a
-	// nil-receiver no-op, which is what keeps the warm path's alloc pin.
-	tr := obs.FromContext(ctx)
-	rs := tr.Root().Child("resolve")
-	in, err := s.resolve(req)
+	in, digest, err := s.admit(ctx, planWorkload.of(s), req, sp.kind, graphio.InstanceDigest)
 	if err != nil {
-		rs.End()
 		return Response{}, err
 	}
-	digest, err := graphio.InstanceDigest(in)
-	if err != nil {
-		rs.End()
-		return Response{}, err
-	}
-	if rs != nil {
-		rs.SetInt("nodes", int64(in.G.N()))
-		rs.SetStr("scheduler", sp.kind)
-	}
-	rs.End()
+	defer s.inflight.Done()
 	key := planKey(digest, sp)
 
-	s.requests.Add(1)
-	cs := tr.Root().Child("cache")
-	res, hit, coalesced, err := s.planFor(ctx, key, in, sp, req.NoCache, req.ImproveBudget)
+	res, hit, coalesced, err := lookup(ctx, s, "cache", planWorkload.cache(s), key, req.NoCache,
+		s.search(key, in, sp, req.ImproveBudget), func(cs *obs.Span, res *core.Result, hit bool) {
+			if hit {
+				cs.SetInt("generation", int64(res.Generation))
+			}
+		})
 	elapsed := time.Since(start)
 	if err != nil {
-		cs.End()
-		s.errs.Add(1)
 		return Response{}, err
 	}
-	cs.SetBool("hit", hit)
-	cs.SetBool("coalesced", coalesced)
 	if hit {
-		cs.SetInt("generation", int64(res.Generation))
-	}
-	cs.End()
-	if hit {
-		s.hitHist.observe(elapsed)
+		s.hitLatency.Observe(elapsed)
 		// Serve best-so-far instantly, improve in the background: a warm
 		// hit with a budget never pays for its own improvement, it funds
 		// the next reader's. Already-exact plans have nothing left.
 		if req.ImproveBudget > 0 && !res.Exact {
-			qs := tr.Root().Child("improve_enqueue")
+			// The trace is nil on untraced requests, making every span
+			// call a nil-receiver no-op — what keeps the warm path's
+			// alloc pin.
+			qs := obs.FromContext(ctx).Root().Child("improve_enqueue")
 			if qs != nil {
 				qs.SetInt("budget_ns", int64(req.ImproveBudget))
 				qs.SetInt("queue_depth", int64(len(s.improveJobs)))
@@ -956,21 +733,14 @@ func (s *Service) Plan(ctx context.Context, req Request) (Response, error) {
 			qs.End()
 		}
 	} else {
-		s.missHist.observe(elapsed)
+		s.missLatency.Observe(elapsed)
 	}
-	return Response{
-		Digest:    digest.String(),
-		Scheduler: res.Scheduler,
-		Result:    res,
-		CacheHit:  hit,
-		Coalesced: coalesced,
-		Elapsed:   elapsed,
-	}, nil
+	return Response{Served: Served{digest, res.Scheduler, hit, coalesced, elapsed}, Instance: in, Result: res}, nil
 }
 
 // PlanBatch answers many requests concurrently, preserving order.
 // Per-item failures land in Response.Err; the batch itself always returns.
-func (s *Service) PlanBatch(ctx context.Context, reqs []Request) []Response {
+func (s *Service) PlanBatch(ctx context.Context, reqs []WorkloadRequest) []Response {
 	resps := make([]Response, len(reqs))
 	var wg sync.WaitGroup
 	for i := range reqs {
@@ -1035,7 +805,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest, emit func(SweepIt
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			resp, err := s.Plan(ctx, Request{
+			resp, err := s.Plan(ctx, WorkloadRequest{
 				Generator: &Generator{N: n, Seed: seed, DutyRate: req.DutyRate, WakeSeed: req.WakeSeed, Channels: req.Channels,
 					SINRAlpha: req.SINRAlpha, SINRBeta: req.SINRBeta, SINRNoise: req.SINRNoise},
 				Scheduler: req.Scheduler,
@@ -1063,62 +833,25 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest, emit func(SweepIt
 	return nil
 }
 
-// Metrics snapshots the service counters and latency percentiles.
+// Metrics snapshots the service counters and latency histograms.
 func (s *Service) Metrics() Metrics {
-	cs := s.cache.Stats()
-	vs := s.vcache.Stats()
-	rs := s.rcache.Stats()
-	as := s.acache.Stats()
-	var merged [histBuckets]int64
-	total := s.hitHist.snapshot(&merged)
-	total += s.missHist.snapshot(&merged)
-	var gens [improveGenBuckets]int64
-	for i := range gens {
-		gens[i] = s.genHist[i].Load()
-	}
-	edges := obs.DefaultLatencyEdgesNs()
-	return Metrics{
-		Requests:          s.requests.Load(),
-		Hits:              cs.Hits,
-		Misses:            cs.Misses,
-		Coalesced:         cs.Coalesced,
-		Searches:          s.searches.Load(),
+	m := Metrics{
+		Errors:            s.errs.Load(),
 		EngineStates:      s.engineStates.Load(),
 		EngineMemoHits:    s.engineMemoHits.Load(),
-		Errors:            s.errs.Load(),
-		Evictions:         cs.Evictions,
-		CacheEntries:      cs.Entries,
-		CacheCapacity:     cs.Capacity,
-		Validations:       s.validations.Load(),
-		MonteCarloTrials:  s.mcTrials.Load(),
-		ValidateHits:      vs.Hits,
-		ValidateMisses:    vs.Misses,
-		ValidateEntries:   vs.Entries,
-		Aggregates:        s.aggregates.Load(),
-		AggSearches:       s.aggSearches.Load(),
-		AggregateHits:     as.Hits,
-		AggregateMisses:   as.Misses,
-		AggregateEntries:  as.Entries,
-		Replans:           s.replans.Load(),
-		ReplanPrefix:      s.replanPrefix.Load(),
-		ReplanIncremental: s.replanIncremental.Load(),
-		ReplanCold:        s.replanCold.Load(),
-		ReplanHits:        rs.Hits,
-		ReplanMisses:      rs.Misses,
-		ReplanEntries:     rs.Entries,
 		Improvements:      s.improvements.Load(),
 		ImproveSlotsSaved: s.improveSlotsSaved.Load(),
 		ImproveQueued:     s.improveQueued.Load(),
 		ImproveDropped:    s.improveDropped.Load(),
 		ImproveQueueDepth: len(s.improveJobs),
-		Generations:       gens,
-		HitLatency:        s.hitHist.promSnapshot(edges),
-		MissLatency:       s.missHist.promSnapshot(edges),
-		HitP50:            s.hitHist.percentile(0.50),
-		HitP99:            s.hitHist.percentile(0.99),
-		MissP50:           s.missHist.percentile(0.50),
-		MissP99:           s.missHist.percentile(0.99),
-		P50:               percentileOf(&merged, total, 0.50),
-		P99:               percentileOf(&merged, total, 0.99),
+		HitLatency:        s.hitLatency.Snapshot(),
+		MissLatency:       s.missLatency.Snapshot(),
 	}
+	for i := range m.Generations {
+		m.Generations[i] = s.genHist[i].Load()
+	}
+	for _, st := range s.table {
+		m.Workloads = append(m.Workloads, st.snapshot())
+	}
+	return m
 }

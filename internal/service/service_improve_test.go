@@ -33,7 +33,7 @@ func TestPlanImproveColdSync(t *testing.T) {
 	// Reference: what the raw approximation serves without a budget.
 	raw := New(Config{Workers: 1})
 	defer raw.Close()
-	rawResp, err := raw.Plan(context.Background(), Request{Instance: in, Scheduler: "baseline"})
+	rawResp, err := raw.Plan(context.Background(), WorkloadRequest{Instance: in, Scheduler: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPlanImproveColdSync(t *testing.T) {
 
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	resp, err := s.Plan(context.Background(), Request{Instance: in, Scheduler: "baseline", ImproveBudget: 20 * time.Millisecond})
+	resp, err := s.Plan(context.Background(), WorkloadRequest{Instance: in, Scheduler: "baseline", ImproveBudget: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPlanImproveBackground(t *testing.T) {
 	ctx := context.Background()
 
 	// Cold fill WITHOUT a budget: the cache holds the raw approximation.
-	cold, err := s.Plan(ctx, Request{Instance: in, Scheduler: "baseline"})
+	cold, err := s.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPlanImproveBackground(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var got *core.Result
 	for {
-		resp, err := s.Plan(ctx, Request{Instance: in, Scheduler: "baseline", ImproveBudget: 10 * time.Millisecond})
+		resp, err := s.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "baseline", ImproveBudget: 10 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestConcurrentPlanAndUpgrade(t *testing.T) {
 			defer wg.Done()
 			lastGen, lastEnd := -1, int(^uint(0)>>1)
 			for i := 0; i < 30; i++ {
-				resp, err := s.Plan(ctx, Request{Instance: in, Scheduler: "baseline", ImproveBudget: 2 * time.Millisecond})
+				resp, err := s.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "baseline", ImproveBudget: 2 * time.Millisecond})
 				if err != nil {
 					errc <- err
 					return
@@ -185,11 +185,11 @@ func TestImproveBudgetZeroBitIdentical(t *testing.T) {
 	b := New(Config{Workers: 1, ImproveWorkers: 2})
 	defer b.Close()
 	ctx := context.Background()
-	ra, err := a.Plan(ctx, Request{Instance: in, Scheduler: "baseline"})
+	ra, err := a.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Plan(ctx, Request{Instance: in, Scheduler: "baseline"})
+	rb, err := b.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
+	"mlbs/internal/churn"
 	"mlbs/internal/core"
+	"mlbs/internal/graphio"
 	"mlbs/internal/topology"
 )
 
@@ -37,7 +38,7 @@ func TestConcurrentSameInstance(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = svc.Plan(context.Background(), Request{Instance: in})
+			resps[i], errs[i] = svc.Plan(context.Background(), WorkloadRequest{Instance: in})
 		}(i)
 	}
 	wg.Wait()
@@ -62,17 +63,17 @@ func TestConcurrentSameInstance(t *testing.T) {
 		}
 	}
 	m := svc.Metrics()
-	if m.Searches != 1 {
-		t.Errorf("ran %d searches for %d identical requests; singleflight wants 1", m.Searches, clients)
+	if m.Workload("plan").Counter("searches") != 1 {
+		t.Errorf("ran %d searches for %d identical requests; singleflight wants 1", m.Workload("plan").Counter("searches"), clients)
 	}
 	if leaders != 1 {
 		t.Errorf("%d leaders; want 1", leaders)
 	}
-	if m.Hits+m.Coalesced != clients-1 {
-		t.Errorf("hits=%d coalesced=%d; %d followers expected", m.Hits, m.Coalesced, clients-1)
+	if m.Workload("plan").Cache.Hits+m.Workload("plan").Cache.Coalesced != clients-1 {
+		t.Errorf("hits=%d coalesced=%d; %d followers expected", m.Workload("plan").Cache.Hits, m.Workload("plan").Cache.Coalesced, clients-1)
 	}
-	if m.Requests != clients {
-		t.Errorf("requests=%d want %d", m.Requests, clients)
+	if m.Workload("plan").Requests != clients {
+		t.Errorf("requests=%d want %d", m.Workload("plan").Requests, clients)
 	}
 }
 
@@ -84,12 +85,12 @@ func TestWarmHitPathAllocs(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	in := testInstance(t, 100, 7)
-	req := Request{Instance: in}
+	req := WorkloadRequest{Instance: in}
 	ctx := context.Background()
 	if _, err := svc.Plan(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	before := svc.Metrics().Searches
+	before := svc.Metrics().Workload("plan").Counter("searches")
 	allocs := testing.AllocsPerRun(100, func() {
 		resp, err := svc.Plan(ctx, req)
 		if err != nil {
@@ -99,7 +100,7 @@ func TestWarmHitPathAllocs(t *testing.T) {
 			t.Fatal("warm request missed the cache")
 		}
 	})
-	if svc.Metrics().Searches != before {
+	if svc.Metrics().Workload("plan").Counter("searches") != before {
 		t.Fatal("warm requests re-ran the search")
 	}
 	if allocs > 24 {
@@ -111,19 +112,19 @@ func TestDistinctInstancesDistinctPlans(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	ctx := context.Background()
-	r1, err := svc.Plan(ctx, Request{Instance: testInstance(t, 80, 1)})
+	r1, err := svc.Plan(ctx, WorkloadRequest{Instance: testInstance(t, 80, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := svc.Plan(ctx, Request{Instance: testInstance(t, 80, 2)})
+	r2, err := svc.Plan(ctx, WorkloadRequest{Instance: testInstance(t, 80, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Digest == r2.Digest {
 		t.Fatal("different deployments share a digest")
 	}
-	if m := svc.Metrics(); m.Searches != 2 {
-		t.Errorf("searches=%d want 2", m.Searches)
+	if m := svc.Metrics(); m.Workload("plan").Counter("searches") != 2 {
+		t.Errorf("searches=%d want 2", m.Workload("plan").Counter("searches"))
 	}
 }
 
@@ -132,11 +133,11 @@ func TestSchedulerPartOfKey(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 	in := testInstance(t, 80, 3)
-	g, err := svc.Plan(ctx, Request{Instance: in, Scheduler: "gopt"})
+	g, err := svc.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "gopt"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := svc.Plan(ctx, Request{Instance: in, Scheduler: "emodel"})
+	e, err := svc.Plan(ctx, WorkloadRequest{Instance: in, Scheduler: "emodel"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestGeneratorRequests(t *testing.T) {
 	defer svc.Close()
 	ctx := context.Background()
 	gen := &Generator{N: 80, Seed: 5, DutyRate: 10}
-	r1, err := svc.Plan(ctx, Request{Generator: gen})
+	r1, err := svc.Plan(ctx, WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := svc.Plan(ctx, Request{Generator: gen})
+	r2, err := svc.Plan(ctx, WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestGeneratorRequests(t *testing.T) {
 	// The generated instance must match what a caller building it by hand
 	// gets (mlb-run convention: wake seed = seed^0xA5, start at the
 	// source's first wake slot).
-	in, err := svc.resolve(Request{Generator: gen})
+	in, err := svc.resolve(WorkloadRequest{Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,22 +183,54 @@ func TestGeneratorRequests(t *testing.T) {
 	}
 }
 
+// TestGeneratorNodeBound: every workload rejects a generator node count
+// outside [1, graphio.MaxWireNodes] in the shared preamble, before any
+// deployment is built, and counts no request for it.
+func TestGeneratorNodeBound(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	ctx := context.Background()
+	for _, n := range []int{0, -1, graphio.MaxWireNodes + 1, 1 << 20} {
+		req := WorkloadRequest{Generator: &Generator{N: n, Seed: 1}}
+		errs := map[string]error{}
+		_, errs["plan"] = svc.Plan(ctx, req)
+		_, errs["aggregate"] = svc.Aggregate(ctx, AggregateRequest{req})
+		_, errs["validate"] = svc.Validate(ctx, ValidateRequest{WorkloadRequest: req})
+		_, errs["replan"] = svc.Replan(ctx, ReplanRequest{WorkloadRequest: req,
+			Delta: churn.Delta{Events: []churn.Event{{Kind: churn.NodeJoin, X: 1, Y: 1}}}})
+		for wl, err := range errs {
+			if err == nil {
+				t.Errorf("%s accepted generator n=%d", wl, n)
+			}
+		}
+	}
+	if _, err := svc.resolve(WorkloadRequest{Generator: &Generator{N: 60, Seed: 1}}); err != nil {
+		t.Fatalf("in-bound generator rejected: %v", err)
+	}
+	m := svc.Metrics()
+	for _, wl := range m.Workloads {
+		if wl.Requests != 0 {
+			t.Errorf("%s counted %d rejected requests", wl.Name, wl.Requests)
+		}
+	}
+}
+
 func TestNoCacheBypassesLookupButStores(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ctx := context.Background()
 	in := testInstance(t, 80, 4)
-	if _, err := svc.Plan(ctx, Request{Instance: in, NoCache: true}); err != nil {
+	if _, err := svc.Plan(ctx, WorkloadRequest{Instance: in, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Plan(ctx, Request{Instance: in, NoCache: true}); err != nil {
+	if _, err := svc.Plan(ctx, WorkloadRequest{Instance: in, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if m := svc.Metrics(); m.Searches != 2 {
-		t.Errorf("NoCache requests ran %d searches; want 2", m.Searches)
+	if m := svc.Metrics(); m.Workload("plan").Counter("searches") != 2 {
+		t.Errorf("NoCache requests ran %d searches; want 2", m.Workload("plan").Counter("searches"))
 	}
 	// A normal request afterwards is served from the stored result.
-	r, err := svc.Plan(ctx, Request{Instance: in})
+	r, err := svc.Plan(ctx, WorkloadRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +242,7 @@ func TestNoCacheBypassesLookupButStores(t *testing.T) {
 func TestPlanBatch(t *testing.T) {
 	svc := New(Config{Workers: 4})
 	defer svc.Close()
-	reqs := []Request{
+	reqs := []WorkloadRequest{
 		{Generator: &Generator{N: 60, Seed: 1}},
 		{Generator: &Generator{N: 60, Seed: 2}},
 		{Generator: &Generator{N: 60, Seed: 1}}, // duplicate of [0]
@@ -276,30 +309,12 @@ func TestSweepStreams(t *testing.T) {
 func TestClose(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	in := testInstance(t, 60, 1)
-	if _, err := svc.Plan(context.Background(), Request{Instance: in}); err != nil {
+	if _, err := svc.Plan(context.Background(), WorkloadRequest{Instance: in}); err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()
 	svc.Close() // idempotent
-	if _, err := svc.Plan(context.Background(), Request{Instance: in}); err != ErrClosed {
+	if _, err := svc.Plan(context.Background(), WorkloadRequest{Instance: in}); err != ErrClosed {
 		t.Fatalf("Plan after Close: %v", err)
-	}
-}
-
-func TestHistPercentiles(t *testing.T) {
-	var h hist
-	for i := 1; i <= 1000; i++ {
-		h.observe(time.Duration(i) * time.Microsecond)
-	}
-	p50 := h.percentile(0.50)
-	p99 := h.percentile(0.99)
-	if p50 < 400*time.Microsecond || p50 > 700*time.Microsecond {
-		t.Errorf("p50 = %v, want ≈ 500µs", p50)
-	}
-	if p99 < 900*time.Microsecond || p99 > 1300*time.Microsecond {
-		t.Errorf("p99 = %v, want ≈ 990µs", p99)
-	}
-	if h.count() != 1000 {
-		t.Errorf("count = %d", h.count())
 	}
 }

@@ -28,7 +28,7 @@ func TestTracedPlanSpans(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	in := testInstance(t, 100, 7)
-	req := Request{Instance: in, ImproveBudget: 20 * time.Millisecond}
+	req := WorkloadRequest{Instance: in, ImproveBudget: 20 * time.Millisecond}
 
 	tr := obs.NewTrace("/v1/plan")
 	resp, err := svc.Plan(obs.NewContext(context.Background(), tr), req)
@@ -73,7 +73,7 @@ func TestTracedPlanSpans(t *testing.T) {
 
 	// Warm traced hit: cache phase only.
 	tr2 := obs.NewTrace("/v1/plan")
-	resp2, err := svc.Plan(obs.NewContext(context.Background(), tr2), Request{Instance: in})
+	resp2, err := svc.Plan(obs.NewContext(context.Background(), tr2), WorkloadRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTracedUntracedResultsIdentical(t *testing.T) {
 	in := testInstance(t, 120, 3)
 
 	svcA := New(Config{Workers: 1})
-	plain, err := svcA.Plan(context.Background(), Request{Instance: in})
+	plain, err := svcA.Plan(context.Background(), WorkloadRequest{Instance: in})
 	svcA.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTracedUntracedResultsIdentical(t *testing.T) {
 	svcB := New(Config{Workers: 1})
 	defer svcB.Close()
 	tr := obs.NewTrace("/v1/plan")
-	traced, err := svcB.Plan(obs.NewContext(context.Background(), tr), Request{Instance: in})
+	traced, err := svcB.Plan(obs.NewContext(context.Background(), tr), WorkloadRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTracedReplanSpan(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	in := testInstance(t, 100, 7)
-	if _, err := svc.Plan(context.Background(), Request{Instance: in}); err != nil {
+	if _, err := svc.Plan(context.Background(), WorkloadRequest{Instance: in}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,5 +164,40 @@ func TestTracedReplanSpan(t *testing.T) {
 	}
 	if rp.Attrs["base_advances"] != int64(resp.BaseAdvances) {
 		t.Fatalf("repair base_advances attr: %v", rp.Attrs)
+	}
+}
+
+// TestDerivedWorkloadsTraceResolve pins the shared request preamble:
+// validate and replan traces open with the same annotated resolve span a
+// plan trace does.
+func TestDerivedWorkloadsTraceResolve(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	in := testInstance(t, 100, 7)
+	req := WorkloadRequest{Instance: in}
+	for name, call := range map[string]func(context.Context) (string, error){
+		"/v1/validate": func(ctx context.Context) (string, error) {
+			r, err := svc.Validate(ctx, ValidateRequest{WorkloadRequest: req, Trials: 10})
+			return r.Digest, err
+		},
+		"/v1/replan": func(ctx context.Context) (string, error) {
+			r, err := svc.Replan(ctx, ReplanRequest{WorkloadRequest: req,
+				Delta: churn.Delta{Events: []churn.Event{{Kind: churn.PositionJitter, Node: 1, X: 1e-9, Y: 1e-9}}}})
+			return r.BaseDigest, err
+		},
+	} {
+		tr := obs.NewTrace(name)
+		digest, err := call(obs.NewContext(context.Background(), tr))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap := tr.Finish(digest, "")
+		rs := spanByName(&snap.Root, "resolve")
+		if rs == nil || rs.Attrs["nodes"] != int64(100) || rs.Attrs["scheduler"] != "gopt" {
+			t.Fatalf("%s: resolve span missing or unannotated: %+v", name, rs)
+		}
+		if snap.Root.Children[0].Name != "resolve" {
+			t.Fatalf("%s: first phase %q, want resolve", name, snap.Root.Children[0].Name)
+		}
 	}
 }

@@ -41,19 +41,15 @@ type ValidateRequest struct {
 // ValidateResponse is one validation answer. Report (and Repair, when a
 // target was set) are shared and immutable.
 type ValidateResponse struct {
-	Digest    string
-	Scheduler string
+	// Served's CacheHit/Coalesced describe the reliability-report cache.
+	Served
 	// Report is the Monte-Carlo estimate — for repair runs, the estimate
 	// of the *repaired* schedule (Repair.Before holds the baseline).
 	Report *reliability.Report
 	Repair *reliability.RepairResult
 	// PlanCacheHit reports whether the underlying schedule came from the
-	// plan cache; CacheHit/Coalesced describe the reliability-report
-	// cache.
+	// plan cache.
 	PlanCacheHit bool
-	CacheHit     bool
-	Coalesced    bool
-	Elapsed      time.Duration
 }
 
 // validateKey extends the plan key with everything the Monte-Carlo answer
@@ -67,14 +63,48 @@ func validateKey(pkey string, m reliability.LossModel, trials int, target float6
 		"|" + strconv.Itoa(maxExtra)
 }
 
-// dispatchValidate queues one Monte-Carlo job on the worker shard owned by
-// key and waits for its outcome.
-func (s *Service) dispatchValidate(ctx context.Context, key string, in core.Instance, sp spec, vj *valJob) (*validateOutcome, error) {
-	r, err := s.dispatchJob(ctx, key, job{in: in, sp: sp, val: vj, tr: obs.FromContext(ctx)})
+// validateWorkload is the Monte-Carlo reliability pipeline, cached by the
+// plan key extended with the loss model, trial count and repair target.
+var validateWorkload = declare(workload[*validateOutcome]{
+	name: "validate", capacity: 1024, shards: 8,
+	counters: []Counter{{Name: "trials", Help: "Monte-Carlo trials executed."}},
+})
+
+// validateOutcome is the cached product of one validation: the estimate,
+// plus the repair result when a target was requested.
+type validateOutcome struct {
+	report *reliability.Report
+	repair *reliability.RepairResult
+}
+
+// execValidate runs one Monte-Carlo validation of sched on the worker's
+// reusable estimator, repairing toward target when it is > 0. Trials run
+// single-threaded here — the pool provides the concurrency across
+// requests, and the report is identical either way. Repair never mutates
+// the (shared, immutable) schedule it is given; it clones before
+// appending.
+func (w *worker) execValidate(in core.Instance, sched *core.Schedule, model reliability.LossModel,
+	trials int, target float64, maxExtra int) (*validateOutcome, error) {
+	if w.est == nil {
+		w.est = reliability.NewEstimator()
+	}
+	if target > 0 {
+		rr, err := w.est.Repair(in, sched, model, reliability.RepairConfig{
+			Target:        target,
+			Trials:        trials,
+			Workers:       1,
+			MaxExtraSlots: maxExtra,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &validateOutcome{report: rr.After, repair: rr}, nil
+	}
+	rep, err := w.est.Estimate(in, sched, model, reliability.Config{Trials: trials, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	return r.out, r.err
+	return &validateOutcome{report: rep}, nil
 }
 
 // Validate answers one reliability request: resolve the instance, obtain
@@ -83,13 +113,6 @@ func (s *Service) dispatchValidate(ctx context.Context, key string, in core.Inst
 // concurrent identical requests.
 func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateResponse, error) {
 	start := time.Now()
-	if err := s.enter(); err != nil {
-		return ValidateResponse{}, err
-	}
-	defer s.inflight.Done()
-	if err := ctx.Err(); err != nil {
-		return ValidateResponse{}, err
-	}
 	sp, err := parseSpec(req.Scheduler, req.Budget)
 	if err != nil {
 		return ValidateResponse{}, err
@@ -118,65 +141,48 @@ func (s *Service) Validate(ctx context.Context, req ValidateRequest) (ValidateRe
 		// values must not fragment the cache over identical work.
 		maxExtra = 0
 	}
-	in, err := s.resolve(req.WorkloadRequest)
+	in, digest, err := s.admit(ctx, validateWorkload.of(s), req.WorkloadRequest, sp.kind, graphio.InstanceDigest)
 	if err != nil {
 		return ValidateResponse{}, err
 	}
-	digest, err := graphio.InstanceDigest(in)
-	if err != nil {
-		return ValidateResponse{}, err
-	}
+	defer s.inflight.Done()
 	pkey := planKey(digest, sp)
-	s.validations.Add(1)
 
 	// The schedule itself always goes through the plan cache: re-running
 	// the search would not change the Monte-Carlo answer, only waste a
 	// worker.
-	tr := obs.FromContext(ctx)
-	ps := tr.Root().Child("cache")
-	res, planHit, _, err := s.planFor(ctx, pkey, in, sp, false, 0)
+	res, planHit, _, err := lookup(ctx, s, "cache", planWorkload.cache(s), pkey, false, s.search(pkey, in, sp, 0), nil)
 	if err != nil {
-		ps.End()
-		s.errs.Add(1)
 		return ValidateResponse{}, err
 	}
-	if ps != nil {
-		ps.SetBool("hit", planHit)
-	}
-	ps.End()
 
 	vkey := validateKey(pkey, model, trials, req.Target, maxExtra)
-	vj := &valJob{sched: res.Schedule, model: model, trials: trials, target: req.Target, maxExtra: maxExtra}
-	vs := tr.Root().Child("mc_validate")
-	if vs != nil {
-		vs.SetInt("trials", int64(trials))
-		vs.SetFloat("target", req.Target)
-	}
-	out, hit, coalesced, err := cachedCompute(ctx, s.vcache, vkey, req.NoCache,
+	out, hit, coalesced, err := lookup(ctx, s, "mc_validate", validateWorkload.cache(s), vkey, req.NoCache,
 		func(ctx context.Context) (*validateOutcome, error) {
-			return s.dispatchValidate(ctx, vkey, in, sp, vj)
+			return dispatch(ctx, s, vkey, func(w *worker, _ *obs.Trace) (*validateOutcome, error) {
+				out, err := w.execValidate(in, res.Schedule, model, trials, req.Target, maxExtra)
+				if err == nil {
+					// Repair re-estimates once per round on top of the
+					// baseline estimate; count every replay actually run.
+					batches := int64(1)
+					if out.repair != nil {
+						batches = int64(out.repair.Rounds) + 1
+					}
+					validateWorkload.of(s).add("trials", int64(trials)*batches)
+				}
+				return out, err
+			})
+		},
+		func(vs *obs.Span, out *validateOutcome, _ bool) {
+			vs.SetInt("trials", int64(trials))
+			vs.SetFloat("target", req.Target)
+			if out.report != nil {
+				vs.SetFloat("delivery_mean", out.report.MeanDeliveryRatio)
+			}
 		})
 	if err != nil {
-		vs.End()
-		s.errs.Add(1)
 		return ValidateResponse{}, err
 	}
-	if vs != nil {
-		vs.SetBool("hit", hit)
-		vs.SetBool("coalesced", coalesced)
-		if out.report != nil {
-			vs.SetFloat("delivery_mean", out.report.MeanDeliveryRatio)
-		}
-	}
-	vs.End()
-	return ValidateResponse{
-		Digest:       digest.String(),
-		Scheduler:    res.Scheduler,
-		Report:       out.report,
-		Repair:       out.repair,
-		PlanCacheHit: planHit,
-		CacheHit:     hit,
-		Coalesced:    coalesced,
-		Elapsed:      time.Since(start),
-	}, nil
+	return ValidateResponse{Served: Served{digest, res.Scheduler, hit, coalesced, time.Since(start)},
+		Report: out.report, Repair: out.repair, PlanCacheHit: planHit}, nil
 }

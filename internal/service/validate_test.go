@@ -67,11 +67,11 @@ func TestValidateBasic(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if m.Validations != 2 || m.ValidateHits != 1 || m.ValidateMisses != 1 {
+	if m.Workload("validate").Requests != 2 || m.Workload("validate").Cache.Hits != 1 || m.Workload("validate").Cache.Misses != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if m.MonteCarloTrials != 150 {
-		t.Fatalf("MC trials = %d, want 150 (the hit ran none)", m.MonteCarloTrials)
+	if m.Workload("validate").Counter("trials") != 150 {
+		t.Fatalf("MC trials = %d, want 150 (the hit ran none)", m.Workload("validate").Counter("trials"))
 	}
 }
 
@@ -189,7 +189,7 @@ func TestValidateConcurrentCoalesces(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different report", i)
 		}
 	}
-	if got := s.Metrics().MonteCarloTrials; got != 100 {
+	if got := s.Metrics().Workload("validate").Counter("trials"); got != 100 {
 		t.Fatalf("ran %d Monte-Carlo trials for %d identical requests, want 100", got, goroutines)
 	}
 }
@@ -229,7 +229,7 @@ func TestValidateNoCacheRecomputesButStores(t *testing.T) {
 			t.Fatalf("request %d: NoCache request reported a hit", i)
 		}
 	}
-	if got := s.Metrics().MonteCarloTrials; got != 128 {
+	if got := s.Metrics().Workload("validate").Counter("trials"); got != 128 {
 		t.Fatalf("MC trials = %d, want 128 (two cold batches)", got)
 	}
 	// The stored result now serves cached traffic.
